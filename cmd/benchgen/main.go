@@ -1,8 +1,8 @@
 // Command benchgen generates the synthetic benchmark netlists and writes
 // them in the repository's text netlist format. It also doubles as the CI
 // benchmark-report tool: -bench-json converts `go test -bench` output into a
-// schema-versioned JSON report, and -bench-compare gates a current report
-// against a committed baseline.
+// schema-versioned JSON report, which cmd/runcmp gates against the committed
+// baseline.
 //
 // Usage:
 //
@@ -11,7 +11,7 @@
 //	benchgen -custom -inputs 32 -outputs 16 -layers 10 -width 80 -o my.net
 //	benchgen -name sasc -seq-example 10 -o edits.json
 //	go test -bench=. -benchtime=1x -run='^$' ./... | benchgen -bench-json -sha $SHA -o BENCH_$SHA.json
-//	benchgen -bench-compare -baseline ci/bench_baseline.json -current BENCH_$SHA.json
+//	runcmp -a ci/bench_baseline.json -b BENCH_$SHA.json -phases CoreRun,KNNBuild
 package main
 
 import (
@@ -50,15 +50,10 @@ func main() {
 		wirecap = flag.Float64("wirecap", 1.2, "custom: mean wire capacitance (fF)")
 		seqEx   = flag.Int("seq-example", 0, "emit an N-step example transformation script (cirstag.seq/v1 JSON) for the design instead of the netlist")
 
-		benchJSON    = flag.Bool("bench-json", false, "parse `go test -bench` output into a JSON benchmark report")
-		historyDir   = flag.String("history-dir", "", "bench-json: also append the results to DIR/ledger.jsonl (see cirstag -history-dir)")
-		benchCompare = flag.Bool("bench-compare", false, "compare a current benchmark report against a baseline")
-		benchIn      = flag.String("i", "", "bench-json: input file with go test -bench output (default stdin)")
-		benchSHA     = flag.String("sha", "", "bench-json: commit SHA to record in the report")
-		baselinePath = flag.String("baseline", "", "bench-compare: baseline report JSON")
-		currentPath  = flag.String("current", "", "bench-compare: current report JSON")
-		gates        = flag.String("gates", "CoreRun,KNNBuild", "bench-compare: comma-separated gated benchmark prefixes")
-		maxRegress   = flag.Float64("max-regress", 25, "bench-compare: allowed ns/op increase for gated benchmarks (percent)")
+		benchJSON  = flag.Bool("bench-json", false, "parse `go test -bench` output into a JSON benchmark report")
+		historyDir = flag.String("history-dir", "", "bench-json: also append the results to DIR/ledger.jsonl (see cirstag -history-dir)")
+		benchIn    = flag.String("i", "", "bench-json: input file with go test -bench output (default stdin)")
+		benchSHA   = flag.String("sha", "", "bench-json: commit SHA to record in the report")
 	)
 	flag.Parse()
 
@@ -69,13 +64,6 @@ func main() {
 	if *benchJSON {
 		if err := emitBenchReport(*benchIn, *benchSHA, *out, *historyDir); err != nil {
 			fatal(err)
-		}
-		return
-	}
-	if *benchCompare {
-		if err := compareBenchReports(*baselinePath, *currentPath, *gates, *maxRegress); err != nil {
-			fmt.Fprintf(os.Stderr, "benchgen: %v\n", err)
-			os.Exit(1)
 		}
 		return
 	}
@@ -203,8 +191,8 @@ func emitBenchReport(inPath, sha, outPath, historyDir string) error {
 
 // benchEntry converts a bench sweep into a ledger entry: each benchmark name
 // becomes a "phase" with its ns/op in milliseconds, and the input hash is the
-// sorted benchmark-name set, so the budgets machinery compares a benchmark
-// only against prior runs of the same sweep.
+// sorted benchmark-name set, so `runcmp -ledger` compares a benchmark only
+// against prior runs of the same sweep.
 func benchEntry(results []bench.BenchResult) history.Entry {
 	names := make([]string, 0, len(results))
 	phases := make(map[string]float64, len(results))
@@ -217,65 +205,6 @@ func benchEntry(results []bench.BenchResult) history.Entry {
 	e := history.NewEntry("benchgen", "bench:"+hex.EncodeToString(h[:])[:16], false)
 	e.PhasesMS = phases
 	return e
-}
-
-// compareBenchReports loads both reports and applies the regression gate,
-// printing the per-benchmark comparison and returning an error (exit 1) when
-// a gated benchmark regressed beyond the threshold.
-func compareBenchReports(baselinePath, currentPath, gates string, maxRegress float64) error {
-	baseline, err := loadBenchReport(baselinePath, "-baseline")
-	if err != nil {
-		return err
-	}
-	current, err := loadBenchReport(currentPath, "-current")
-	if err != nil {
-		return err
-	}
-	var gateList []string
-	for _, g := range strings.Split(gates, ",") {
-		if g = strings.TrimSpace(g); g != "" {
-			gateList = append(gateList, g)
-		}
-	}
-	cmp := bench.CompareBench(baseline, current, bench.CompareOptions{
-		Gates:         gateList,
-		MaxRegressPct: maxRegress,
-	})
-	fmt.Printf("# benchmark comparison (baseline %s -> current %s; * = gated, limit +%.0f%%)\n",
-		orUnknown(baseline.SHA), orUnknown(current.SHA), maxRegress)
-	for _, l := range cmp.Lines {
-		fmt.Println(l)
-	}
-	if len(cmp.Failures) > 0 {
-		return fmt.Errorf("benchmark regression gate failed:\n  %s", strings.Join(cmp.Failures, "\n  "))
-	}
-	fmt.Println("# gate passed")
-	return nil
-}
-
-func loadBenchReport(path, flagName string) (*bench.BenchReport, error) {
-	if path == "" {
-		return nil, fmt.Errorf("%s is required", flagName)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep bench.BenchReport
-	if err := json.Unmarshal(b, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	if rep.Schema != bench.BenchSchemaVersion {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, bench.BenchSchemaVersion)
-	}
-	return &rep, nil
-}
-
-func orUnknown(s string) string {
-	if s == "" {
-		return "?"
-	}
-	return s
 }
 
 func fatal(err error) {

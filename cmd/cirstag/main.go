@@ -8,7 +8,7 @@
 //	benchgen -name sasc -o sasc.net && cirstag -netlist sasc.net
 //	cirstag -bench sasc -report run.json -debug-addr :6060
 //	cirstag -bench sasc -trace trace.json -log-format json
-//	cirstag -bench sasc -history-dir runs/ -check-budgets
+//	cirstag -bench sasc -history-dir runs/ && runcmp -ledger runs/ -phases core.run
 //	benchgen -name sasc -seq-example 10 -o edits.json && cirstag -bench sasc -sequence edits.json
 //
 // Sequence scoring: -sequence applies a cirstag.seq/v1 script of netlist
@@ -32,10 +32,9 @@
 // events as Chrome-trace/Perfetto JSON; -log-format=json switches the logger
 // to one JSON object per line stamped with the run ID and current span ID so
 // logs correlate with traces and reports; -history-dir appends this run's
-// per-phase latencies to an append-only JSONL ledger, and -check-budgets
-// gates the run against the per-phase latency budgets in
-// <history-dir>/budgets.json, exiting with code 6 and the breaching phase's
-// name on violation.
+// per-phase latencies to an append-only JSONL ledger, which `runcmp -ledger`
+// gates against the most recent comparable run, exiting 1 and naming the
+// regressed phase.
 package main
 
 import (
@@ -76,7 +75,6 @@ func main() {
 		tracePath   = flag.String("trace", "", "write a Chrome-trace/Perfetto JSON export to this file")
 		logFormat   = flag.String("log-format", "text", "log line encoding: text or json (run/span correlated)")
 		historyDir  = flag.String("history-dir", "", "append this run's phase latencies to DIR/ledger.jsonl")
-		checkBudget = flag.Bool("check-budgets", false, "check phase latencies against <history-dir>/budgets.json (exit 6 on breach)")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof, expvar and /metrics on this address (e.g. :6060)")
 		metricsOut  = flag.String("metrics-out", "", "with -debug-addr: write the served /metrics exposition to this file at exit")
 		profileDir  = flag.String("profile-dir", "", "capture pprof profiles under DIR/<run_id>/ (run CPU profile + per-phase heap snapshots + manifest)")
@@ -96,8 +94,7 @@ func main() {
 	warnings, err := validateFlags(flagValues{
 		netlist: *netlistPath, bench: *benchName, cacheDir: *cacheDir,
 		top: *top, epochs: *epochs, hidden: *hidden, embedDims: *embedDims, scoreDims: *scoreDims,
-		verbose: *verbose, quiet: *quiet, noCache: *noCache,
-		logFormat: *logFormat, historyDir: *historyDir, checkBudgets: *checkBudget,
+		verbose: *verbose, quiet: *quiet, noCache: *noCache, logFormat: *logFormat,
 		metricsOut: *metricsOut, debugAddr: *debugAddr,
 		approxDMD: *approxDMD, dmdEps: *dmdEps, dmdEpsSet: dmdEpsSet,
 		sequence: *sequence, edges: *edges,
@@ -260,8 +257,6 @@ func main() {
 		}
 		obs.Infof("wrote /metrics exposition to %s", *metricsOut)
 	}
-	// Close the capture before the budget gate below: a breach exits the
-	// process and must not lose the CPU profile explaining it.
 	if err := capturer.Close(); err != nil {
 		fatal(err)
 	}
@@ -269,17 +264,14 @@ func main() {
 		obs.Infof("wrote profiles to %s", capturer.Dir())
 	}
 	if *historyDir != "" {
-		if err := recordHistory(*historyDir, *checkBudget, nl, store == nil); err != nil {
+		if err := recordHistory(*historyDir, nl, store == nil); err != nil {
 			fatal(err)
 		}
 	}
 }
 
-// recordHistory appends this run's phase profile to the ledger and, when
-// requested, gates it against the budgets file. Budgets are checked against
-// the history as it was BEFORE this run, so a slow run cannot poison its own
-// baseline.
-func recordHistory(dir string, checkBudgets bool, nl *circuit.Netlist, cold bool) error {
+// recordHistory appends this run's phase profile to the ledger.
+func recordHistory(dir string, nl *circuit.Netlist, cold bool) error {
 	entry := history.NewEntry("cirstag", service.NetlistHash(nl), cold)
 	prior, skipped, err := history.Load(dir)
 	if err != nil {
@@ -292,23 +284,7 @@ func recordHistory(dir string, checkBudgets bool, nl *circuit.Netlist, cold bool
 		return err
 	}
 	obs.Infof("appended run %s to %s (%d prior entries)", entry.RunID, filepath.Join(dir, history.LedgerFile), len(prior))
-	if !checkBudgets {
-		return nil
-	}
-	budgets, err := history.LoadBudgets(filepath.Join(dir, history.BudgetsFile))
-	if err != nil {
-		return err
-	}
-	breaches := history.CheckBudgets(entry, prior, budgets)
-	if len(breaches) == 0 {
-		obs.Infof("all %d budgeted phases within budget", len(budgets.Phases))
-		return nil
-	}
-	for _, b := range breaches {
-		obs.Errorf("cirstag: budget breach: %s", b)
-	}
-	os.Exit(cirerr.ExitBudgetBreach)
-	return nil // unreachable
+	return nil
 }
 
 // fetchMetrics snapshots the live /metrics exposition through the debug
@@ -337,8 +313,7 @@ type flagValues struct {
 	top, epochs, hidden, embedDims int
 	scoreDims                      int
 	verbose, quiet, noCache        bool
-	logFormat, historyDir          string
-	checkBudgets                   bool
+	logFormat                      string
 	metricsOut, debugAddr          string
 	approxDMD                      bool
 	dmdEps                         float64
@@ -372,14 +347,7 @@ func validateFlags(v flagValues) ([]string, error) {
 		return nil, fmt.Errorf("-metrics-out requires -debug-addr")
 	}
 	var warnings []string
-	warning, err := cliutil.ValidateHistoryFlags(v.historyDir, v.checkBudgets, v.noCache)
-	if err != nil {
-		return nil, err
-	}
-	if warning != "" {
-		warnings = append(warnings, warning)
-	}
-	warning, err = cliutil.ValidateApproxDMDFlags(v.approxDMD, v.dmdEps, v.dmdEpsSet, v.noCache)
+	warning, err := cliutil.ValidateApproxDMDFlags(v.approxDMD, v.dmdEps, v.dmdEpsSet, v.noCache)
 	if err != nil {
 		return nil, err
 	}

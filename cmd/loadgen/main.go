@@ -14,10 +14,9 @@
 // -history-dir the run also lands in the shared run-history ledger (tool
 // "loadgen"), so cmd/runcmp diffs load runs like any other profile.
 //
-// Exit codes: 0 when every objective held, 7 when an SLO was breached
-// (distinct from the phase-budget breach code 6), 1 when the harness could
-// not measure anything (no job completed, unreachable server), 2 for flag
-// misuse.
+// Exit codes: 0 when every objective held, 7 when an SLO was breached, 1
+// when the harness could not measure anything (no job completed, unreachable
+// server), 2 for flag misuse.
 package main
 
 import (

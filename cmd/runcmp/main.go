@@ -1,14 +1,15 @@
-// Command runcmp attributes performance regressions between two runs: it
-// diffs the per-phase resource profiles of two artifacts (run reports, bench
-// reports, or run-history ledger entries), ranks phases by relative delta per
-// resource, and names the top regressing (phase, resource) pair.
+// Command runcmp is the project's regression gate and attributes performance
+// regressions between two runs: it diffs the per-phase resource profiles of
+// two artifacts (run reports, bench reports, or run-history ledger entries),
+// ranks phases by relative delta per resource, and names the top regressing
+// (phase, resource) pair.
 //
 // Usage:
 //
 //	runcmp -a baseline.json -b current.json [-threshold 25] [-phases CoreRun,KNNBuild] [-json verdict.json]
 //	runcmp -ledger RUNS_DIR [-input-hash HASH] [...]
 //
-// File mode sniffs each artifact's "schema" field: cirstag.report/v1|v2 run
+// File mode sniffs each artifact's "schema" field: cirstag.report/v2 run
 // reports, cirstag.bench/v1 benchmark reports, and cirstag.load/v1 loadgen
 // verdicts are accepted, and the two sides may mix kinds (a bench baseline
 // against a report, say) — only resources present on both sides are
@@ -19,7 +20,9 @@
 // The human-readable attribution table goes to stdout; -json additionally
 // writes the stable cirstag.runcmp/v1 verdict. Exits 0 when no gated phase
 // regressed beyond the threshold, 1 on regression, 2 on bad input or flag
-// misuse.
+// misuse. With -phases, a baseline phase matching a prefix that is missing
+// from the current side is a regression too (a gated benchmark that stopped
+// running); without it, one-sided phases are only listed as new or gone.
 package main
 
 import (
@@ -43,7 +46,7 @@ func main() {
 		ledgerDir = flag.String("ledger", "", "compare the newest ledger entry in DIR against its most recent comparable predecessor")
 		inputHash = flag.String("input-hash", "", "ledger mode: only consider entries with this input hash")
 		threshold = flag.Float64("threshold", 25, "relative increase (percent) above which a gated phase fails the verdict")
-		phases    = flag.String("phases", "", "comma-separated phase-name prefixes to gate (default: every phase is gated)")
+		phases    = flag.String("phases", "", "comma-separated phase-name prefixes to gate; a gated baseline phase missing from the current side fails (default: every phase is gated, one-sided phases only listed)")
 		jsonOut   = flag.String("json", "", "also write the cirstag.runcmp/v1 verdict JSON to this file")
 	)
 	flag.Parse()
@@ -107,7 +110,7 @@ func loadArtifact(path string) (*runcmp.Profile, error) {
 		return nil, fmt.Errorf("%s: not valid JSON: %v", path, err)
 	}
 	switch sniff.Schema {
-	case obs.SchemaVersion, obs.SchemaVersionV1:
+	case obs.SchemaVersion:
 		rep, err := obs.ParseReport(raw)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", path, err)

@@ -12,11 +12,10 @@ import (
 	"cirstag/internal/obs/resource"
 )
 
-// Benchmark-regression tooling: parse `go test -bench` output into a stable
-// JSON report (emitted by CI as BENCH_<sha>.json) and compare a current
-// report against a committed baseline, failing when a gated benchmark's wall
-// time regresses beyond a threshold. Used by cmd/benchgen's -bench-json and
-// -bench-compare modes and the ci.yml bench job.
+// Benchmark-report tooling: parse `go test -bench` output into a stable
+// JSON report (emitted by CI as BENCH_<sha>.json by cmd/benchgen's
+// -bench-json mode). cmd/runcmp gates a current report against the committed
+// baseline.
 
 // BenchSchemaVersion identifies the benchmark-report JSON layout.
 const BenchSchemaVersion = "cirstag.bench/v1"
@@ -32,9 +31,8 @@ type BenchResult struct {
 }
 
 // BenchReport is the persisted form of one benchmark sweep. Env (additive to
-// schema v1) fingerprints the machine the sweep ran on, so comparison tooling
-// (cmd/runcmp, -bench-compare consumers) can flag cross-environment diffs
-// instead of attributing them to code.
+// schema v1) fingerprints the machine the sweep ran on, so cmd/runcmp can
+// flag cross-environment diffs instead of attributing them to code.
 type BenchReport struct {
 	Schema    string        `json:"schema"`
 	SHA       string        `json:"sha,omitempty"`
@@ -100,70 +98,4 @@ func ParseGoBench(r io.Reader) ([]BenchResult, error) {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
 	return out, nil
-}
-
-// CompareOptions tunes the regression gate.
-type CompareOptions struct {
-	// Gates are benchmark-name prefixes (normalized form) that must not
-	// regress; a baseline entry matching a gate that is missing from the
-	// current report fails the gate outright. Entries matching no gate are
-	// reported informationally but never fail.
-	Gates []string
-	// MaxRegressPct is the allowed ns/op increase for gated benchmarks, in
-	// percent. Default 25.
-	MaxRegressPct float64
-}
-
-// Comparison is the outcome of a baseline/current report comparison.
-type Comparison struct {
-	// Lines holds one human-readable row per compared benchmark.
-	Lines []string
-	// Failures lists gate violations; empty means the gate passes.
-	Failures []string
-}
-
-// CompareBench checks current against baseline under the gate options.
-func CompareBench(baseline, current *BenchReport, opts CompareOptions) *Comparison {
-	if opts.MaxRegressPct <= 0 {
-		opts.MaxRegressPct = 25
-	}
-	gated := func(name string) bool {
-		for _, g := range opts.Gates {
-			if strings.HasPrefix(name, g) {
-				return true
-			}
-		}
-		return false
-	}
-	cur := make(map[string]BenchResult, len(current.Results))
-	for _, r := range current.Results {
-		cur[r.Name] = r
-	}
-	cmp := &Comparison{}
-	for _, base := range baseline.Results {
-		now, ok := cur[base.Name]
-		if !ok {
-			if gated(base.Name) {
-				cmp.Failures = append(cmp.Failures,
-					fmt.Sprintf("%s: gated benchmark missing from current report", base.Name))
-			} else {
-				cmp.Lines = append(cmp.Lines, fmt.Sprintf("%-40s (not run)", base.Name))
-			}
-			continue
-		}
-		deltaPct := 100 * (now.NsPerOp - base.NsPerOp) / base.NsPerOp
-		mark := " "
-		if gated(base.Name) {
-			mark = "*"
-			if deltaPct > opts.MaxRegressPct {
-				cmp.Failures = append(cmp.Failures, fmt.Sprintf(
-					"%s: %.4gms -> %.4gms (%+.1f%%, limit +%.0f%%)",
-					base.Name, base.NsPerOp/1e6, now.NsPerOp/1e6, deltaPct, opts.MaxRegressPct))
-			}
-		}
-		cmp.Lines = append(cmp.Lines, fmt.Sprintf(
-			"%s %-40s %12.4gms %12.4gms %+8.1f%%",
-			mark, base.Name, base.NsPerOp/1e6, now.NsPerOp/1e6, deltaPct))
-	}
-	return cmp
 }

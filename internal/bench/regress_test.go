@@ -46,63 +46,3 @@ func TestParseGoBench(t *testing.T) {
 		t.Fatalf("extra metric not captured: %+v", results[0].Metrics)
 	}
 }
-
-func report(pairs ...interface{}) *BenchReport {
-	rep := &BenchReport{Schema: BenchSchemaVersion}
-	for i := 0; i+1 < len(pairs); i += 2 {
-		rep.Results = append(rep.Results, BenchResult{
-			Name:    pairs[i].(string),
-			NsPerOp: pairs[i+1].(float64),
-		})
-	}
-	return rep
-}
-
-func TestCompareBenchGate(t *testing.T) {
-	opts := CompareOptions{Gates: []string{"CoreRun", "KNNBuild"}, MaxRegressPct: 25}
-
-	// Within threshold: +20% on a gated benchmark passes.
-	c := CompareBench(
-		report("CoreRun/serial", 100.0, "KNNBuild/parallel", 50.0),
-		report("CoreRun/serial", 120.0, "KNNBuild/parallel", 40.0),
-		opts)
-	if len(c.Failures) != 0 {
-		t.Fatalf("unexpected failures: %v", c.Failures)
-	}
-
-	// +30% on a gated benchmark fails.
-	c = CompareBench(
-		report("CoreRun/serial", 100.0),
-		report("CoreRun/serial", 130.0),
-		opts)
-	if len(c.Failures) != 1 || !strings.Contains(c.Failures[0], "CoreRun/serial") {
-		t.Fatalf("failures = %v, want one CoreRun/serial regression", c.Failures)
-	}
-
-	// +30% on an ungated benchmark is informational only.
-	c = CompareBench(
-		report("TableI", 100.0),
-		report("TableI", 130.0),
-		opts)
-	if len(c.Failures) != 0 {
-		t.Fatalf("ungated benchmark failed the gate: %v", c.Failures)
-	}
-
-	// A gated benchmark missing from the current report fails.
-	c = CompareBench(
-		report("KNNBuild/parallel", 50.0),
-		report(),
-		opts)
-	if len(c.Failures) != 1 || !strings.Contains(c.Failures[0], "missing") {
-		t.Fatalf("failures = %v, want missing-benchmark failure", c.Failures)
-	}
-
-	// An ungated benchmark missing from the current report is skipped.
-	c = CompareBench(
-		report("TableI", 100.0),
-		report(),
-		opts)
-	if len(c.Failures) != 0 {
-		t.Fatalf("missing ungated benchmark failed the gate: %v", c.Failures)
-	}
-}

@@ -130,16 +130,13 @@ const (
 	ExitCorruptArtifact = 3
 	ExitNoConverge      = 4
 	ExitDegenerate      = 5
-	// ExitBudgetBreach is not an error kind: the run itself succeeded, but
-	// -check-budgets found a phase over its latency budget (internal/obs/
-	// history). Scripts gate deploys on it without conflating it with
-	// pipeline failures.
-	ExitBudgetBreach = 6
-	// ExitSLOBreach is loadgen's counterpart to ExitBudgetBreach: the load
-	// run itself completed, but the measured latencies or error rate burned
-	// past a configured service-level objective (internal/load). Distinct
-	// from ExitBudgetBreach so CI can tell "a phase regressed" apart from
-	// "the service missed its SLO under load".
+	// Code 6 is retired and must not be reused: scripts written against
+	// older releases read it as a latency-budget breach.
+
+	// ExitSLOBreach is not an error kind: the load run itself completed, but
+	// the measured latencies or error rate burned past a configured
+	// service-level objective (internal/load). Scripts gate on it without
+	// conflating it with pipeline failures.
 	ExitSLOBreach = 7
 )
 

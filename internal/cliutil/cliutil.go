@@ -160,22 +160,6 @@ func OneOf(name, value string, allowed ...string) error {
 	return fmt.Errorf("%s must be %s, got %q", name, opts, value)
 }
 
-// ValidateHistoryFlags checks the run-history flag combination shared by the
-// binaries. -check-budgets without -history-dir is a hard usage error (there
-// is no ledger or budgets file to check against). -no-cache together with
-// -check-budgets is legal but suspicious — cold runs re-execute phases that
-// warm runs skip, so budgets seeded from warm history will spuriously breach
-// — and returns a warning string for the CLI to surface without failing.
-func ValidateHistoryFlags(historyDir string, checkBudgets, noCache bool) (warning string, err error) {
-	if checkBudgets && historyDir == "" {
-		return "", fmt.Errorf("-check-budgets requires -history-dir")
-	}
-	if checkBudgets && noCache {
-		warning = "-no-cache with -check-budgets: cold-run phase timings differ from warm-run budgets (baselines compare cold runs only against cold runs)"
-	}
-	return warning, nil
-}
-
 // ValidateServerFlags checks cmd/cirstagd's daemon flag combination. -addr
 // must be a listenable host:port (":8080" and "127.0.0.1:0" are fine; a bare
 // port or hostname is not). -max-inflight and -per-tenant must be positive,

@@ -97,19 +97,6 @@ func TestConflictTable(t *testing.T) {
 			err:  OneOf("-log-format", "json", "text", "json"),
 		},
 		{
-			name:    "check-budgets without history dir",
-			err:     second(ValidateHistoryFlags("", true, false)),
-			wantErr: "-check-budgets requires -history-dir",
-		},
-		{
-			name: "check-budgets with history dir",
-			err:  second(ValidateHistoryFlags("runs", true, false)),
-		},
-		{
-			name: "history dir alone",
-			err:  second(ValidateHistoryFlags("runs", false, false)),
-		},
-		{
 			name:    "dmd-eps without approx-dmd",
 			err:     second(ValidateApproxDMDFlags(false, 0.3, true, false)),
 			wantErr: "-dmd-eps requires -approx-dmd",
@@ -195,24 +182,9 @@ func TestConflictTable(t *testing.T) {
 	}
 }
 
-// second drops the warning from ValidateHistoryFlags so the conflict table
+// second drops the warning from ValidateApproxDMDFlags so the conflict table
 // stays uniform.
 func second(_ string, err error) error { return err }
-
-// TestValidateHistoryFlagsWarning: -no-cache with -check-budgets is legal but
-// must surface a warning (cold runs compare against cold baselines only).
-func TestValidateHistoryFlagsWarning(t *testing.T) {
-	warning, err := ValidateHistoryFlags("runs", true, true)
-	if err != nil {
-		t.Fatalf("legal combination rejected: %v", err)
-	}
-	if !strings.Contains(warning, "-no-cache") || !strings.Contains(warning, "cold") {
-		t.Fatalf("warning = %q, want mention of -no-cache and cold runs", warning)
-	}
-	if w, err := ValidateHistoryFlags("runs", false, true); err != nil || w != "" {
-		t.Fatalf("no -check-budgets: warning=%q err=%v, want silence", w, err)
-	}
-}
 
 // TestValidateApproxDMDFlagsWarning: -approx-dmd with -no-cache is legal but
 // must warn that sketches will not persist across runs.

@@ -501,9 +501,9 @@ func multilevelSeeds(gx, gy *graph.Graph, s int, opts Options, root *obs.Span) [
 	if k < 1 {
 		return nil
 	}
-	pairs := eig.GeneralizedTopK(
+	pairs := eig.GeneralizedTopKSeeded(
 		ensureConnected(cgx).Laplacian(), ensureConnected(cgy).Laplacian(),
-		k, rngML, opts.Eig)
+		k, nil, rngML, opts.Eig)
 	if len(pairs) == 0 {
 		return nil
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // BenchmarkEffresSketch measures the blocked JL-sketch build — q Laplacian
-// solves through SolveBlock — on a mid-sized random graph, plus the per-pair
-// query cost it buys. Gated by the CI bench-regression job.
+// solves through SolveBlockGuess — on a mid-sized random graph, plus the
+// per-pair query cost it buys. Gated by the CI bench-regression job.
 func BenchmarkEffresSketch(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	n := 4000

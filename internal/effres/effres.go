@@ -141,7 +141,7 @@ func NewSketch(g *graph.Graph, q int, rng *rand.Rand, opts solver.Options) *Sket
 	}
 	// Column r of the block solution is L⁺ y_r — exactly the r-th column the
 	// serial construction stored, so Z's layout and bits are unchanged.
-	z, _ := s.SolveBlock(b)
+	z, _ := s.SolveBlockGuess(b, nil)
 	sketchBuilds.Inc()
 	sketchRows.Observe(float64(q))
 	sketchBuildMS.Observe(float64(time.Since(start)) / float64(time.Millisecond))

@@ -30,7 +30,7 @@ type GeneralizedPair struct {
 	Vector mat.Vec // L_Y-normalized: vᵀ·L_Y·v = 1
 }
 
-// GeneralizedTopK computes the k largest generalized eigenpairs of
+// GeneralizedTopKSeeded computes the k largest generalized eigenpairs of
 // L_X·v = ζ·L_Y·v, i.e. the top eigenpairs of L_Y⁺·L_X, via a Lanczos
 // iteration that is self-adjoint in the L_Y inner product. Both matrices must
 // be Laplacians of connected graphs on the same node set; the shared kernel
@@ -40,25 +40,22 @@ type GeneralizedPair struct {
 // This is the Phase-3 workhorse of CirSTAG (Algorithm 1, line 8): the
 // eigenvectors weighted by √ζ embed the input manifold so that edge lengths
 // approximate cubed distance-mapping distortions.
-func GeneralizedTopK(lx, ly *sparse.CSR, k int, rng *rand.Rand, opts Options) []GeneralizedPair {
-	return GeneralizedTopKSeeded(lx, ly, k, nil, rng, opts)
-}
-
-// GeneralizedTopKSeeded is GeneralizedTopK with warm-start directions. Seeds
-// (typically prolongated coarse-level eigenvectors from a coarsening
-// hierarchy) are consumed in order: the first usable seed becomes the Krylov
-// start vector and later ones replace the random directions injected at
-// breakdown restarts, before the iteration falls back to random vectors.
-// Each consumed seed advances eig.generalized.seeded. Unusable seeds (wrong
-// length, non-finite, or in the span of the current basis) are skipped.
-// With nil seeds the iteration is bit-identical to GeneralizedTopK.
+//
+// Seeds are optional warm-start directions; nil seeds start the Krylov basis
+// from rng alone. Seeds (typically prolongated coarse-level eigenvectors from
+// a coarsening hierarchy) are consumed in order: the first usable seed
+// becomes the Krylov start vector and later ones replace the random
+// directions injected at breakdown restarts, before the iteration falls back
+// to random vectors. Each consumed seed advances eig.generalized.seeded.
+// Unusable seeds (wrong length, non-finite, or in the span of the current
+// basis) are skipped.
 func GeneralizedTopKSeeded(lx, ly *sparse.CSR, k int, seeds []mat.Vec, rng *rand.Rand, opts Options) []GeneralizedPair {
 	n := lx.Rows
 	if lx.Cols != n || ly.Rows != n || ly.Cols != n {
-		panic(fmt.Sprintf("eig: GeneralizedTopK dims L_X %dx%d, L_Y %dx%d", lx.Rows, lx.Cols, ly.Rows, ly.Cols))
+		panic(fmt.Sprintf("eig: GeneralizedTopKSeeded dims L_X %dx%d, L_Y %dx%d", lx.Rows, lx.Cols, ly.Rows, ly.Cols))
 	}
 	if k <= 0 {
-		panic("eig: GeneralizedTopK k must be positive")
+		panic("eig: GeneralizedTopKSeeded k must be positive")
 	}
 	if k > n-1 {
 		k = n - 1 // at most n-1 nontrivial pairs outside the shared kernel

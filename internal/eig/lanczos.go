@@ -48,7 +48,7 @@ type Options struct {
 	// estimate. Default 1e-8.
 	Tol float64
 	// InnerTol is the relative-residual tolerance of the Laplacian solves
-	// inside GeneralizedTopK (ignored by plain Lanczos). Default 1e-6.
+	// inside GeneralizedTopKSeeded (ignored by plain Lanczos). Default 1e-6.
 	InnerTol float64
 }
 

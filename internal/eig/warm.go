@@ -69,11 +69,12 @@ func (o WarmOptions) withDefaults() WarmOptions {
 }
 
 // GeneralizedTopKWarm computes the k largest generalized eigenpairs of
-// L_X·v = ζ·L_Y·v like GeneralizedTopK, but warm-started from a prior
+// L_X·v = ζ·L_Y·v like GeneralizedTopKSeeded, but warm-started from a prior
 // solve's eigenvectors instead of growing a Krylov basis from noise. It is an
 // approximation refined to WarmOptions.ResidTol, not a bit-identical
 // replacement for the cold solve — callers that need bit-identity to a fresh
-// run (full rebuilds, cache-warm paths) must keep using GeneralizedTopK.
+// run (full rebuilds, cache-warm paths) must keep using
+// GeneralizedTopKSeeded.
 // Unusable warm vectors (wrong length, non-finite, dependent) are skipped and
 // replaced with random directions, so a degenerate warm set degrades to plain
 // subspace iteration rather than failing.

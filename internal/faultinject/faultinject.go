@@ -41,11 +41,13 @@ const (
 	// cache.Store.Get, before header verification — truncation and bit flips
 	// injected here must be detected and degrade to a miss.
 	PointCacheFrame = "cache.read_frame"
-	// PointPCGMaxIter intercepts the PCG iteration budget in solver.PCG —
-	// capping it to ~1 simulates a non-converging Laplacian solve.
+	// PointPCGMaxIter intercepts the PCG iteration budget in solver.PCG and
+	// solver.PCGBlockGuess — capping it to ~1 simulates a non-converging
+	// Laplacian solve.
 	PointPCGMaxIter = "solver.pcg.max_iter"
 	// PointLanczosMaxIter intercepts the Krylov budget of eig.Lanczos and
-	// eig.GeneralizedTopK — capping it simulates a non-converging eigensolve.
+	// eig.GeneralizedTopKSeeded — capping it simulates a non-converging
+	// eigensolve.
 	PointLanczosMaxIter = "eig.lanczos.max_iter"
 	// PointGNNOutput intercepts the prediction-output matrix data in
 	// timing.Model.Predict — overwriting rows with NaN simulates a diverged

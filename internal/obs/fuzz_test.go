@@ -15,13 +15,13 @@ func FuzzReportJSON(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"schema":"cirstag.report/v1"}`))
 	f.Add([]byte(`{"schema":"cirstag.report/v2"}`))
-	f.Add([]byte(`{"schema":"cirstag.report/v1","spans":[{"name":"run","duration_ms":1.5,"children":[{"name":"embed","duration_ms":1.0}]}]}`))
-	f.Add([]byte(`{"schema":"cirstag.report/v1","spans":[{"name":"run","duration_ms":-1}]}`))
-	f.Add([]byte(`{"schema":"cirstag.report/v1","histograms":{"h":{"count":1,"bounds":[1,2],"counts":[0,1,0]}}}`))
-	f.Add([]byte(`{"schema":"cirstag.report/v1","histograms":{"h":{"count":1,"bounds":[2,1],"counts":[0,1,0]}}}`))
-	f.Add([]byte(`{"schema":"cirstag.report/v1","cache":{"hits":-1}}`))
+	f.Add([]byte(`{"schema":"cirstag.report/v2"}`))
+	f.Add([]byte(`{"schema":"cirstag.report/v2","spans":[{"name":"run","duration_ms":1.5,"children":[{"name":"embed","duration_ms":1.0}]}]}`))
+	f.Add([]byte(`{"schema":"cirstag.report/v2","spans":[{"name":"run","duration_ms":-1}]}`))
+	f.Add([]byte(`{"schema":"cirstag.report/v2","histograms":{"h":{"count":1,"bounds":[1,2],"counts":[0,1,0]}}}`))
+	f.Add([]byte(`{"schema":"cirstag.report/v2","histograms":{"h":{"count":1,"bounds":[2,1],"counts":[0,1,0]}}}`))
+	f.Add([]byte(`{"schema":"cirstag.report/v2","cache":{"hits":-1}}`))
 	f.Add([]byte(`{"schema":"cirstag.report/v2","spans":[{"name":"run","duration_ms":2,"res":{"cpu_ms":1.5,"allocs":10,"alloc_bytes":4096,"gc_pause_ms":0.1,"goroutines":8}}]}`))
 	f.Add([]byte(`{"schema":"cirstag.report/v2","spans":[{"name":"run","duration_ms":2,"res":{"allocs":-1}}]}`))
 	f.Add([]byte(`{"schema":"cirstag.report/v2","env":{"go_version":"go1.22.0","gomaxprocs":4,"num_cpu":4,"os":"linux","arch":"amd64"}}`))

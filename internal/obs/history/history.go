@@ -1,24 +1,20 @@
 // Package history is the run-history subsystem of the CirSTAG telemetry
 // layer: an append-only JSONL ledger of per-run phase latencies keyed by
-// input hash, plus per-phase latency budgets (SLOs) checked against either
-// absolute limits or the best prior run of the same input.
+// input hash.
 //
 // The ledger is the cross-run complement of the single-run report
 // (cirstag.report/v2): every `cirstag -history-dir DIR` invocation appends
 // one line, `benchgen -bench-json -history-dir DIR` appends bench sweeps to
-// the same file, and `-check-budgets` turns the ledger plus a budgets file
-// into a latency regression gate that exits nonzero naming the breaching
-// phase.
+// the same file, and `runcmp -ledger DIR` gates the newest entry against the
+// most recent comparable one, exiting 1 and naming the regressed phase.
 package history
 
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"time"
 
 	"cirstag/internal/cirerr"
@@ -31,14 +27,8 @@ import (
 // binary reading a ledger extended by a newer one must not misinterpret it).
 const SchemaVersion = "cirstag.history/v1"
 
-// BudgetsSchemaVersion identifies the budgets file layout.
-const BudgetsSchemaVersion = "cirstag.budgets/v1"
-
 // LedgerFile is the ledger's file name inside a history directory.
 const LedgerFile = "ledger.jsonl"
-
-// BudgetsFile is the default budgets file name inside a history directory.
-const BudgetsFile = "budgets.json"
 
 // Entry is one ledger line: the per-phase wall-time profile of one run.
 type Entry struct {
@@ -50,12 +40,12 @@ type Entry struct {
 	// Tool is the producing binary: "cirstag", "experiments", or "benchgen".
 	Tool string `json:"tool"`
 	// InputHash fingerprints the analyzed input (netlist content hash for
-	// analysis runs, the benchmark sweep identity for bench runs). Budget
-	// baselines only compare entries with equal hashes — timings of
+	// analysis runs, the benchmark sweep identity for bench runs).
+	// `runcmp -ledger` only compares entries with equal hashes — timings of
 	// different designs are not comparable.
 	InputHash string `json:"input_hash"`
 	// Cold marks runs that executed with the artifact cache disabled; their
-	// phase profile includes work warm runs skip, so budget baselines treat
+	// phase profile includes work warm runs skip, so `runcmp -ledger` treats
 	// cold and warm populations separately.
 	Cold bool `json:"cold,omitempty"`
 	// PhasesMS maps phase (span) name to total wall milliseconds.
@@ -208,129 +198,4 @@ func Load(dir string) (entries []Entry, skipped int, err error) {
 		return entries, skipped, cirerr.Wrap("history.load", cirerr.ErrCorruptArtifact, err)
 	}
 	return entries, skipped, nil
-}
-
-// Budget is the latency SLO of one phase. Absolute and relative modes
-// compose: a phase breaches if it exceeds MaxMS (when set) or the
-// tolerance-scaled baseline (when TolerancePct is set and a baseline exists).
-type Budget struct {
-	// MaxMS is an absolute ceiling in milliseconds; 0 means no absolute
-	// limit.
-	MaxMS float64 `json:"max_ms,omitempty"`
-	// TolerancePct, when non-nil, bounds the phase relative to the best
-	// prior run of the same input hash (and same cold/warm population):
-	// limit = baseline × (1 + TolerancePct/100). A pointer so an explicit 0
-	// ("no slower than the best run ever") is distinguishable from unset.
-	TolerancePct *float64 `json:"tolerance_pct,omitempty"`
-}
-
-// Budgets is the parsed budgets file.
-type Budgets struct {
-	Schema string            `json:"schema"`
-	Phases map[string]Budget `json:"phases"`
-}
-
-// LoadBudgets reads and validates a budgets file.
-func LoadBudgets(path string) (*Budgets, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, cirerr.Wrap("history.budgets", cirerr.ErrBadInput, err)
-	}
-	var out Budgets
-	if err := json.Unmarshal(b, &out); err != nil {
-		return nil, cirerr.Wrap("history.budgets", cirerr.ErrBadInput, fmt.Errorf("%s: %w", path, err))
-	}
-	if out.Schema != BudgetsSchemaVersion {
-		return nil, cirerr.New("history.budgets", cirerr.ErrBadInput, "%s: schema %q, want %q", path, out.Schema, BudgetsSchemaVersion)
-	}
-	if len(out.Phases) == 0 {
-		return nil, cirerr.New("history.budgets", cirerr.ErrBadInput, "%s: no phases budgeted", path)
-	}
-	for name, bud := range out.Phases {
-		if bud.MaxMS < 0 {
-			return nil, cirerr.New("history.budgets", cirerr.ErrBadInput, "%s: phase %q has negative max_ms", path, name)
-		}
-		if bud.TolerancePct != nil && *bud.TolerancePct < 0 {
-			return nil, cirerr.New("history.budgets", cirerr.ErrBadInput, "%s: phase %q has negative tolerance_pct", path, name)
-		}
-		if bud.MaxMS == 0 && bud.TolerancePct == nil {
-			return nil, cirerr.New("history.budgets", cirerr.ErrBadInput, "%s: phase %q sets neither max_ms nor tolerance_pct", path, name)
-		}
-	}
-	return &out, nil
-}
-
-// Breach is one budget violation.
-type Breach struct {
-	Phase    string
-	ActualMS float64
-	LimitMS  float64
-	// Why names the violated rule: "max_ms" or "baseline+tolerance".
-	Why string
-}
-
-func (b Breach) String() string {
-	return fmt.Sprintf("phase %q took %.1fms, budget %.1fms (%s)", b.Phase, b.ActualMS, b.LimitMS, b.Why)
-}
-
-// CheckBudgets evaluates entry e against budgets, using prior (ledger entries
-// recorded before e) for relative baselines. The baseline of a phase is its
-// minimum over prior entries with the same input hash and cold flag; a phase
-// with a TolerancePct budget but no baseline passes vacuously (the first run
-// of an input seeds the baseline rather than failing). Budgeted phases absent
-// from e are ignored — the budgets file may cover warm-only phases. Breaches
-// come back sorted by phase name.
-func CheckBudgets(e Entry, prior []Entry, budgets *Budgets) []Breach {
-	var breaches []Breach
-	for _, phase := range sortedPhaseNames(budgets.Phases) {
-		bud := budgets.Phases[phase]
-		actual, ran := e.PhasesMS[phase]
-		if !ran {
-			continue
-		}
-		if bud.MaxMS > 0 && actual > bud.MaxMS {
-			breaches = append(breaches, Breach{Phase: phase, ActualMS: actual, LimitMS: bud.MaxMS, Why: "max_ms"})
-			continue
-		}
-		if bud.TolerancePct == nil {
-			continue
-		}
-		baseline, ok := baselineFor(phase, e, prior)
-		if !ok {
-			continue
-		}
-		limit := baseline * (1 + *bud.TolerancePct/100)
-		if actual > limit {
-			breaches = append(breaches, Breach{Phase: phase, ActualMS: actual, LimitMS: limit, Why: "baseline+tolerance"})
-		}
-	}
-	return breaches
-}
-
-// baselineFor returns the fastest prior measurement of phase for runs of the
-// same input hash and cache temperature.
-func baselineFor(phase string, e Entry, prior []Entry) (float64, bool) {
-	best, ok := 0.0, false
-	for _, p := range prior {
-		if p.InputHash != e.InputHash || p.Cold != e.Cold {
-			continue
-		}
-		v, ran := p.PhasesMS[phase]
-		if !ran {
-			continue
-		}
-		if !ok || v < best {
-			best, ok = v, true
-		}
-	}
-	return best, ok
-}
-
-func sortedPhaseNames(m map[string]Budget) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

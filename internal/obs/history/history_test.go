@@ -4,7 +4,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"cirstag/internal/cirerr"
@@ -194,123 +193,5 @@ func TestResourcesFromReportSumsDuplicates(t *testing.T) {
 
 	if ResourcesFromReport(&obs.Report{Spans: []obs.SpanReport{{Name: "x"}}}) != nil {
 		t.Fatal("resource-less report must yield nil (omitted phases_res)")
-	}
-}
-
-func writeBudgets(t *testing.T, dir, body string) string {
-	t.Helper()
-	path := filepath.Join(dir, BudgetsFile)
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestLoadBudgetsValidation(t *testing.T) {
-	dir := t.TempDir()
-	cases := []struct {
-		name, body, wantErr string
-	}{
-		{"bad schema", `{"schema":"nope","phases":{"p":{"max_ms":1}}}`, "schema"},
-		{"no phases", `{"schema":"cirstag.budgets/v1","phases":{}}`, "no phases"},
-		{"negative max", `{"schema":"cirstag.budgets/v1","phases":{"p":{"max_ms":-1}}}`, "negative max_ms"},
-		{"negative tolerance", `{"schema":"cirstag.budgets/v1","phases":{"p":{"tolerance_pct":-5}}}`, "negative tolerance_pct"},
-		{"empty budget", `{"schema":"cirstag.budgets/v1","phases":{"p":{}}}`, "neither max_ms nor tolerance_pct"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := LoadBudgets(writeBudgets(t, dir, tc.body))
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("err = %v, want mention of %q", err, tc.wantErr)
-			}
-			if err != nil && !errors.Is(err, cirerr.ErrBadInput) {
-				t.Fatalf("err = %v, want ErrBadInput", err)
-			}
-		})
-	}
-
-	b, err := LoadBudgets(writeBudgets(t, dir,
-		`{"schema":"cirstag.budgets/v1","phases":{"core.run":{"max_ms":100,"tolerance_pct":0}}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bud := b.Phases["core.run"]
-	if bud.MaxMS != 100 || bud.TolerancePct == nil || *bud.TolerancePct != 0 {
-		t.Fatalf("parsed budget = %+v (explicit tolerance_pct 0 must survive)", bud)
-	}
-}
-
-func TestCheckBudgetsAbsolute(t *testing.T) {
-	budgets := &Budgets{Schema: BudgetsSchemaVersion, Phases: map[string]Budget{
-		"slow.phase": {MaxMS: 10},
-		"fast.phase": {MaxMS: 10},
-		"not.run":    {MaxMS: 1},
-	}}
-	e := entry("abc", false, map[string]float64{"slow.phase": 25, "fast.phase": 5})
-	breaches := CheckBudgets(e, nil, budgets)
-	if len(breaches) != 1 {
-		t.Fatalf("breaches = %+v, want exactly one", breaches)
-	}
-	b := breaches[0]
-	if b.Phase != "slow.phase" || b.ActualMS != 25 || b.LimitMS != 10 || b.Why != "max_ms" {
-		t.Fatalf("breach = %+v", b)
-	}
-	if !strings.Contains(b.String(), `"slow.phase"`) {
-		t.Fatalf("breach message does not name the phase: %s", b)
-	}
-}
-
-func TestCheckBudgetsRelativeZeroTolerance(t *testing.T) {
-	zero := 0.0
-	budgets := &Budgets{Schema: BudgetsSchemaVersion, Phases: map[string]Budget{
-		"core.run": {TolerancePct: &zero},
-	}}
-	prior := []Entry{
-		entry("abc", false, map[string]float64{"core.run": 30}),
-		entry("abc", false, map[string]float64{"core.run": 20}), // best baseline
-		entry("abc", true, map[string]float64{"core.run": 5}),   // cold: other population
-		entry("zzz", false, map[string]float64{"core.run": 1}),  // other input
-	}
-
-	// First run of an input passes vacuously (seeds the baseline).
-	if br := CheckBudgets(entry("new", false, map[string]float64{"core.run": 999}), prior, budgets); len(br) != 0 {
-		t.Fatalf("no-baseline run breached: %+v", br)
-	}
-	// At the baseline: fine.
-	if br := CheckBudgets(entry("abc", false, map[string]float64{"core.run": 20}), prior, budgets); len(br) != 0 {
-		t.Fatalf("run at baseline breached: %+v", br)
-	}
-	// Slower than the best prior same-input warm run: breach naming the phase.
-	br := CheckBudgets(entry("abc", false, map[string]float64{"core.run": 20.5}), prior, budgets)
-	if len(br) != 1 || br[0].Phase != "core.run" || br[0].LimitMS != 20 || br[0].Why != "baseline+tolerance" {
-		t.Fatalf("breaches = %+v, want core.run over 20ms baseline", br)
-	}
-}
-
-func TestCheckBudgetsToleranceScaling(t *testing.T) {
-	fifty := 50.0
-	budgets := &Budgets{Schema: BudgetsSchemaVersion, Phases: map[string]Budget{
-		"p": {TolerancePct: &fifty},
-	}}
-	prior := []Entry{entry("abc", false, map[string]float64{"p": 100})}
-	if br := CheckBudgets(entry("abc", false, map[string]float64{"p": 149}), prior, budgets); len(br) != 0 {
-		t.Fatalf("within tolerance breached: %+v", br)
-	}
-	br := CheckBudgets(entry("abc", false, map[string]float64{"p": 151}), prior, budgets)
-	if len(br) != 1 || br[0].LimitMS != 150 {
-		t.Fatalf("breaches = %+v, want limit 150", br)
-	}
-}
-
-func TestCheckBudgetsSortedByPhase(t *testing.T) {
-	budgets := &Budgets{Schema: BudgetsSchemaVersion, Phases: map[string]Budget{
-		"z.phase": {MaxMS: 1},
-		"a.phase": {MaxMS: 1},
-		"m.phase": {MaxMS: 1},
-	}}
-	e := entry("abc", false, map[string]float64{"z.phase": 9, "a.phase": 9, "m.phase": 9})
-	br := CheckBudgets(e, nil, budgets)
-	if len(br) != 3 || br[0].Phase != "a.phase" || br[1].Phase != "m.phase" || br[2].Phase != "z.phase" {
-		t.Fatalf("breaches not sorted by phase: %+v", br)
 	}
 }

@@ -19,7 +19,7 @@
 //     let tooling match a warm-cache run's profiles against a cold run of
 //     the same input without trusting file timestamps.
 //
-// The session hooks span boundaries through obs.SetSpanObserver, so capture
+// The session hooks span boundaries through obs.AddSpanObserver, so capture
 // needs no cooperation from pipeline code: any span machinery already in
 // place triggers snapshots.
 package profile
@@ -90,6 +90,7 @@ type Capturer struct {
 	truncated int
 	seen      map[string]int // phase name -> snapshots taken under that name
 	closed    bool
+	unobserve func() // removes the span observer installed by Start
 }
 
 // Start begins a capture session under dir: creates <dir>/<run_id>/, starts
@@ -113,7 +114,7 @@ func Start(dir string) (*Capturer, error) {
 		return nil, cirerr.Wrap("profile.start", cirerr.ErrInternal, err)
 	}
 	c := &Capturer{dir: runDir, cpuFile: f, seen: map[string]int{}}
-	obs.SetSpanObserver(c.observe)
+	c.unobserve = obs.AddSpanObserver(c.observe)
 	return c, nil
 }
 
@@ -186,7 +187,7 @@ func (c *Capturer) Close() error {
 		return nil
 	}
 	c.closed = true
-	obs.SetSpanObserver(nil)
+	c.unobserve()
 	pprof.StopCPUProfile()
 	if err := c.cpuFile.Close(); err != nil {
 		return cirerr.Wrap("profile.close", cirerr.ErrBadInput, err)

@@ -19,7 +19,6 @@ func withObs(t *testing.T, fn func()) {
 	obs.Enable()
 	obs.SetRunID("profile-test-run")
 	defer func() {
-		obs.SetSpanObserver(nil)
 		obs.Disable()
 		obs.Reset()
 		obs.SetRunID("")

@@ -19,12 +19,8 @@ import (
 // reject reports whose schema field they do not recognize; additive changes
 // keep the version, field removals or renames bump it. v2 added per-span
 // resource deltas (SpanReport.Res) and the environment fingerprint
-// (Report.Env); ParseReport still accepts v1 documents, whose new fields are
-// simply absent.
-const (
-	SchemaVersion   = "cirstag.report/v2"
-	SchemaVersionV1 = "cirstag.report/v1"
-)
+// (Report.Env).
+const SchemaVersion = "cirstag.report/v2"
 
 // Report is the machine-readable snapshot of everything recorded since the
 // last Reset. Field names and JSON tags are a stable public contract (see
@@ -217,8 +213,8 @@ func ParseReport(b []byte) (*Report, error) {
 	if err := json.Unmarshal(b, &rep); err != nil {
 		return nil, fmt.Errorf("obs: parsing report: %w", err)
 	}
-	if rep.Schema != SchemaVersion && rep.Schema != SchemaVersionV1 {
-		return nil, fmt.Errorf("obs: report schema %q, want %q (or legacy %q)", rep.Schema, SchemaVersion, SchemaVersionV1)
+	if rep.Schema != SchemaVersion {
+		return nil, fmt.Errorf("obs: report schema %q, want %q", rep.Schema, SchemaVersion)
 	}
 	for name, h := range rep.Histograms {
 		if len(h.Counts) != len(h.Bounds)+1 {

@@ -126,31 +126,6 @@ func AddSpanObserver(f func(SpanEvent)) (remove func()) {
 	}
 }
 
-// setObserverRemove undoes the previous SetSpanObserver installation, if any.
-var setObserverRemove func()
-
-// SetSpanObserver installs (or, with nil, removes) a single span observer,
-// replacing the one installed by a previous SetSpanObserver call. It is the
-// legacy single-slot API kept for callers that own exactly one observer (the
-// profile layer); it composes with AddSpanObserver installations, which it
-// never disturbs.
-func SetSpanObserver(f func(SpanEvent)) {
-	spanObserversMu.Lock()
-	prev := setObserverRemove
-	setObserverRemove = nil
-	spanObserversMu.Unlock()
-	if prev != nil {
-		prev()
-	}
-	if f == nil {
-		return
-	}
-	remove := AddSpanObserver(f)
-	spanObserversMu.Lock()
-	setObserverRemove = remove
-	spanObserversMu.Unlock()
-}
-
 // notifySpan delivers a lifecycle event to every installed observer. The
 // empty fast path is a single atomic load so uninstrumented runs pay
 // nothing.

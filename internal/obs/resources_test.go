@@ -119,25 +119,6 @@ func TestResourceDisabledZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestParseReportAcceptsV1(t *testing.T) {
-	v1 := []byte(`{
-		"schema": "cirstag.report/v1",
-		"go_version": "go1.22.0",
-		"gomaxprocs": 4,
-		"spans": [{"name": "core.run", "start_ms": 0, "duration_ms": 12.5}]
-	}`)
-	rep, err := ParseReport(v1)
-	if err != nil {
-		t.Fatalf("v1 report rejected: %v", err)
-	}
-	if rep.Schema != SchemaVersionV1 {
-		t.Fatalf("schema rewritten to %q", rep.Schema)
-	}
-	if rep.Env != nil || rep.Spans[0].Res != nil {
-		t.Fatalf("v1 report grew v2 fields from nowhere: env=%+v res=%+v", rep.Env, rep.Spans[0].Res)
-	}
-}
-
 func TestParseReportRejectsBadResources(t *testing.T) {
 	cases := map[string]string{
 		"negative allocs":   `{"schema":"cirstag.report/v2","go_version":"go1.22.0","gomaxprocs":1,"spans":[{"name":"x","start_ms":0,"duration_ms":1,"res":{"cpu_ms":1,"allocs":-5,"alloc_bytes":0,"gc_pause_ms":0,"goroutines":1}}]}`,

@@ -17,7 +17,14 @@
 //     regression better than any phase ranking.
 //
 // Statuses keep the verdict JSON finite: a phase/resource present on one
-// side only is "new" or "gone" (informational), never an infinite delta.
+// side only is "new" or "gone", never an infinite delta. One-sided rows are
+// informational, with one exception: a baseline phase that an explicit phase
+// filter gates and that is missing from the current side fails the verdict,
+// so a gated benchmark that stops running cannot pass the gate silently.
+//
+// runcmp is the project's only regression gate: CI gates the benchmark
+// sweep against ci/bench_baseline.json with it, and `runcmp -ledger` gates a
+// run against the run-history ledger.
 package runcmp
 
 import (
@@ -64,7 +71,7 @@ type Profile struct {
 	Phases    map[string]map[string]float64
 }
 
-// FromReport builds a profile from a parsed run report (schema v1 or v2).
+// FromReport builds a profile from a parsed run report.
 // The span forest is flattened with duplicate names summing, mirroring the
 // history ledger's aggregation, so report-vs-ledger comparisons line up.
 func FromReport(rep *obs.Report, source string) *Profile {
@@ -139,7 +146,8 @@ type Options struct {
 	// Phases, when non-empty, restricts the GATE to phases matching any of
 	// these name prefixes. Non-matching phases are still compared and listed,
 	// but cannot fail the verdict — CI gates a stable phase allowlist while
-	// the table keeps full visibility.
+	// the table keeps full visibility. A baseline phase matching a prefix
+	// that is missing from the current side fails the verdict.
 	Phases []string
 }
 
@@ -153,7 +161,8 @@ type Delta struct {
 	// "ok" and "regressed" (it is 0 for "new"/"gone" rather than infinite).
 	DeltaPct float64 `json:"delta_pct"`
 	// Status: "ok", "regressed", "new" (appears only in current), or "gone"
-	// (appears only in baseline).
+	// (appears only in baseline; fails the verdict when Options.Phases gates
+	// the phase and the phase is missing from the current side).
 	Status string `json:"status"`
 	// Gated reports whether this row was eligible to fail the verdict (it
 	// matched the phase filter, or no filter was set).
@@ -173,7 +182,8 @@ type Verdict struct {
 	Deltas    []Delta `json:"deltas"`
 	Regressed bool    `json:"regressed"`
 	// Top is the worst gated regression — the attribution answer — nil when
-	// nothing regressed.
+	// nothing regressed. A missing gated phase is named here only when no
+	// comparable row regressed.
 	Top *Delta `json:"top,omitempty"`
 }
 
@@ -206,6 +216,11 @@ func Compare(a, b *Profile, opts Options) *Verdict {
 		}
 		return false
 	}
+	// dropped reports a gated baseline phase the current side never ran.
+	dropped := func(phase string) bool {
+		_, ran := b.Phases[phase]
+		return !ran && len(opts.Phases) > 0 && gated(phase)
+	}
 
 	v := &Verdict{
 		Schema:        SchemaVersion,
@@ -227,13 +242,12 @@ func Compare(a, b *Profile, opts Options) *Verdict {
 					DeltaPct: 100 * (bv - av) / av, Status: "ok", Gated: gated(phase)}
 				if d.Gated && d.DeltaPct > opts.ThresholdPct {
 					d.Status = "regressed"
-					v.Regressed = true
 				}
 				ranked = append(ranked, d)
 			case bok && bv >= floor && (!aok || av < floor):
 				oneSided = append(oneSided, Delta{Phase: phase, Resource: res,
 					Base: av, Cur: bv, Status: "new", Gated: gated(phase)})
-			case aok && av >= floor && !bok:
+			case aok && (av >= floor || dropped(phase)) && !bok:
 				oneSided = append(oneSided, Delta{Phase: phase, Resource: res,
 					Base: av, Cur: bv, Status: "gone", Gated: gated(phase)})
 			}
@@ -262,13 +276,13 @@ func Compare(a, b *Profile, opts Options) *Verdict {
 	})
 	v.Deltas = append(ranked, oneSided...)
 
-	for i := range v.Deltas {
-		if v.Deltas[i].Status == "regressed" {
-			top := v.Deltas[i]
-			v.Top = &top
+	for _, d := range v.Deltas {
+		if d.Status == "regressed" || d.Status == "gone" && dropped(d.Phase) {
+			v.Top = &d
 			break
 		}
 	}
+	v.Regressed = v.Top != nil
 	return v
 }
 
@@ -310,10 +324,13 @@ func (v *Verdict) Table() string {
 				mark, d.Phase, d.Resource, d.Base, d.Cur, d.DeltaPct, d.Status)
 		}
 	}
-	if v.Top != nil {
+	switch {
+	case v.Top != nil && v.Top.Status == "gone":
+		fmt.Fprintf(&sb, "top regression: %s missing from current (gated phase)\n", v.Top.Phase)
+	case v.Top != nil:
 		fmt.Fprintf(&sb, "top regression: %s %s %+.1f%% (threshold +%.0f%%)\n",
 			v.Top.Phase, v.Top.Resource, v.Top.DeltaPct, v.ThresholdPct)
-	} else {
+	default:
 		fmt.Fprintf(&sb, "no regression above +%.0f%%\n", v.ThresholdPct)
 	}
 	return sb.String()

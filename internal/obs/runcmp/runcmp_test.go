@@ -158,6 +158,58 @@ func TestComparePhaseFilterGatesButStillLists(t *testing.T) {
 	}
 }
 
+// TestComparePhaseGate is the regression gate's rule table under a phase
+// allowlist: a gated phase fails above the threshold or when the current side
+// no longer runs it, and the table names it; an ungated phase never fails.
+func TestComparePhaseGate(t *testing.T) {
+	opts := Options{ThresholdPct: 25, Phases: []string{"CoreRun", "KNNBuild"}}
+	type phases = map[string]map[string]float64
+	for _, tc := range []struct {
+		name      string
+		base, cur phases
+		wantTop   string // phase the verdict must name; "" means it passes
+	}{
+		{"gated +20% passes",
+			phases{"CoreRun/serial": {"wall_ms": 100}, "KNNBuild/parallel": {"wall_ms": 50}},
+			phases{"CoreRun/serial": {"wall_ms": 120}, "KNNBuild/parallel": {"wall_ms": 40}}, ""},
+		{"gated +30% fails",
+			phases{"CoreRun/serial": {"wall_ms": 100}},
+			phases{"CoreRun/serial": {"wall_ms": 130}}, "CoreRun/serial"},
+		{"ungated +30% passes",
+			phases{"TableI": {"wall_ms": 100}},
+			phases{"TableI": {"wall_ms": 130}}, ""},
+		// Below the wall_ms noise floor on purpose: a phase that stopped
+		// running is a structural change, not timing noise.
+		{"gated missing fails",
+			phases{"KNNBuild/parallel": {"wall_ms": 0.05}},
+			phases{}, "KNNBuild/parallel"},
+		{"ungated missing passes",
+			phases{"TableI": {"wall_ms": 100}},
+			phases{}, ""},
+		// The phase still runs; only a resource column is absent.
+		{"gated phase without resource columns passes",
+			phases{"CoreRun/serial": {"wall_ms": 100, "cpu_ms": 90}},
+			phases{"CoreRun/serial": {"wall_ms": 100}}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := Compare(prof(tc.base), prof(tc.cur), opts)
+			table := v.Table()
+			if tc.wantTop == "" {
+				if v.Regressed || v.Top != nil {
+					t.Fatalf("verdict failed, want pass:\n%s", table)
+				}
+				return
+			}
+			if !v.Regressed || v.Top == nil || v.Top.Phase != tc.wantTop {
+				t.Fatalf("verdict top = %+v, want a failure naming %s:\n%s", v.Top, tc.wantTop, table)
+			}
+			if !strings.Contains(table, "top regression: "+tc.wantTop+" ") {
+				t.Fatalf("table does not name %s:\n%s", tc.wantTop, table)
+			}
+		})
+	}
+}
+
 func TestCompareEnvMismatchWarns(t *testing.T) {
 	envA := &resource.Env{GoVersion: "go1.22.0", GoMaxProcs: 4, NumCPU: 4, OS: "linux", Arch: "amd64"}
 	envB := &resource.Env{GoVersion: "go1.24.0", GoMaxProcs: 4, NumCPU: 4, OS: "linux", Arch: "amd64"}

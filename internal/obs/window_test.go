@@ -183,27 +183,3 @@ func TestAddSpanObserverChain(t *testing.T) {
 		}
 	})
 }
-
-func TestSetSpanObserverComposesWithAdd(t *testing.T) {
-	withRecording(t, func() {
-		var set, added int
-		remove := AddSpanObserver(func(SpanEvent) { added++ })
-		defer remove()
-		SetSpanObserver(func(SpanEvent) { set++ })
-		Start("compose-1").End()
-		if set != 2 || added != 2 {
-			t.Fatalf("after first span: set=%d added=%d, want 2/2", set, added)
-		}
-		// Replacing the single-slot observer must not disturb the Add one.
-		SetSpanObserver(func(SpanEvent) { set += 10 })
-		Start("compose-2").End()
-		if set != 22 || added != 4 {
-			t.Fatalf("after replace: set=%d added=%d, want 22/4", set, added)
-		}
-		SetSpanObserver(nil)
-		Start("compose-3").End()
-		if set != 22 || added != 6 {
-			t.Fatalf("after clear: set=%d added=%d, want 22/6", set, added)
-		}
-	})
-}

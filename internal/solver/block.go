@@ -10,7 +10,7 @@ import (
 	"cirstag/internal/parallel"
 )
 
-// Blocked multi-RHS PCG. PCGBlock runs the exact per-column recurrence of
+// Blocked multi-RHS PCG. PCGBlockGuess runs the exact per-column recurrence of
 // PCG (same scalars, same floating-point operation order), but fuses the
 // SpMV across right-hand sides so the sparse matrix is streamed once per
 // iteration instead of once per column, and shares one preconditioner across
@@ -23,7 +23,7 @@ var (
 )
 
 // BlockOp is an optional Op extension for operators that can apply
-// themselves to several vectors in one fused pass. PCGBlock uses it when
+// themselves to several vectors in one fused pass. PCGBlockGuess uses it when
 // available and falls back to per-column ApplyTo otherwise.
 type BlockOp interface {
 	Op
@@ -174,29 +174,24 @@ const (
 	colDone
 )
 
-// PCGBlock solves A·X = B column by column with a shared preconditioner and
-// SpMV fused across the active columns. Per column it returns exactly what
-// PCG would: the same solution bits, iteration count, residual, and
-// ErrNoConvergence behaviour (errs[j] is nil or ErrNoConvergence). Columns
-// converge (or break down) independently; finished columns drop out of the
-// fused kernels.
-func PCGBlock(a Op, m Preconditioner, b *mat.Dense, opts Options) (*mat.Dense, []Result, []error) {
-	return PCGBlockGuess(a, m, b, nil, opts)
-}
-
-// PCGBlockGuess is PCGBlock with a per-column initial guess x0 (nil means the
-// zero guess, bit-identical to PCGBlock). As in scalar PCG, convergence is
+// PCGBlockGuess solves A·X = B column by column with a shared preconditioner
+// and SpMV fused across the active columns, starting from the per-column
+// initial guess x0 (nil means the zero guess). With a nil guess, per column
+// it returns exactly what PCG would: the same solution bits, iteration count,
+// residual, and ErrNoConvergence behaviour (errs[j] is nil or
+// ErrNoConvergence). Columns converge (or break down) independently; finished
+// columns drop out of the fused kernels. As in scalar PCG, convergence is
 // still measured against ‖b_j‖ — a guess whose residual is already below
 // Tol·‖b_j‖ converges in zero iterations, which is what makes warm-started
 // correction solves (eig.GeneralizedTopKWarm) nearly free near a fixed point.
 func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat.Dense, []Result, []error) {
 	n := a.Dim()
 	if b.Rows != n {
-		panic(fmt.Sprintf("solver: PCGBlock rhs rows %d, operator dim %d", b.Rows, n))
+		panic(fmt.Sprintf("solver: PCGBlockGuess rhs rows %d, operator dim %d", b.Rows, n))
 	}
 	k := b.Cols
 	if x0 != nil && (x0.Rows != n || x0.Cols != k) {
-		panic(fmt.Sprintf("solver: PCGBlock guess %dx%d, want %dx%d", x0.Rows, x0.Cols, n, k))
+		panic(fmt.Sprintf("solver: PCGBlockGuess guess %dx%d, want %dx%d", x0.Rows, x0.Cols, n, k))
 	}
 	opts = opts.withDefaults(n)
 	// Same fault-injection point as the scalar path, so budget-capping tests
@@ -379,28 +374,24 @@ func copyColumn(dst, src *mat.Dense, j int) {
 // copyPColumn is copyColumn under a name that reads as "initialize p from z".
 func copyPColumn(dst, src *mat.Dense, j int) { copyColumn(dst, src, j) }
 
-// maxBlockCols caps the width of one PCGBlock tile inside SolveBlock: six
-// n×w working blocks live at once, so an unbounded width would make a wide
-// sketch build (hundreds of RHS on a 10⁵-node graph) allocate gigabytes.
-// Tiles are solved independently, so tiling never changes any bit.
+// maxBlockCols caps the width of one PCGBlockGuess tile inside
+// SolveBlockGuess: six n×w working blocks live at once, so an unbounded width
+// would make a wide sketch build (hundreds of RHS on a 10⁵-node graph)
+// allocate gigabytes. Tiles are solved independently, so tiling never changes
+// any bit.
 const maxBlockCols = 64
 
-// SolveBlock computes L⁺ applied to every column of b (n×k) with the blocked
-// PCG, sharing the preconditioner and fusing the SpMV across columns. Each
+// SolveBlockGuess computes L⁺ applied to every column of b (n×k) with the
+// blocked PCG, sharing the preconditioner and fusing the SpMV across columns,
+// starting from the per-column initial guess x0. With a nil (zero) guess each
 // column's solution is bit-identical to Solve on that column, for any worker
-// count. The returned error is the first per-column error in column order
-// (matching the historical SolveMany contract).
-func (s *Laplacian) SolveBlock(b *mat.Dense) (*mat.Dense, error) {
-	return s.SolveBlockGuess(b, nil)
-}
-
-// SolveBlockGuess is SolveBlock with a per-column initial guess x0 (nil means
-// the zero guess, bit-identical to SolveBlock). Guess columns are projected
-// into the solution subspace before the iteration, so any iterate — including
-// a rough warm start — is a valid starting point.
+// count. Guess columns are projected into the solution subspace before the
+// iteration, so any iterate — including a rough warm start — is a valid
+// starting point. The returned error is the first per-column error in column
+// order.
 func (s *Laplacian) SolveBlockGuess(b, x0 *mat.Dense) (*mat.Dense, error) {
 	if b.Rows != s.L.Rows {
-		panic(fmt.Sprintf("solver: SolveBlock rows %d vs dim %d", b.Rows, s.L.Rows))
+		panic(fmt.Sprintf("solver: SolveBlockGuess rows %d vs dim %d", b.Rows, s.L.Rows))
 	}
 	k := b.Cols
 	if x0 != nil && (x0.Rows != b.Rows || x0.Cols != k) {

@@ -28,9 +28,9 @@ func randomRHS(rng *rand.Rand, rows, cols int) *mat.Dense {
 	return b
 }
 
-// The core contract of the blocked solver: every column of SolveBlock is
-// bitwise identical to a standalone Solve on that column — same projections,
-// same PCG recurrence, same floating-point operation order.
+// The core contract of the blocked solver: with a nil guess, every column of
+// SolveBlockGuess is bitwise identical to a standalone Solve on that column —
+// same projections, same PCG recurrence, same floating-point operation order.
 func TestSolveBlockBitIdenticalToSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, tc := range []struct {
@@ -45,7 +45,7 @@ func TestSolveBlockBitIdenticalToSolve(t *testing.T) {
 		g := randomConnectedGraph(rng, tc.n, tc.extra)
 		s := NewLaplacian(g, tc.opts)
 		b := randomRHS(rng, tc.n, tc.cols)
-		out, blockErr := s.SolveBlock(b)
+		out, blockErr := s.SolveBlockGuess(b, nil)
 		var scalarErr error
 		for j := 0; j < tc.cols; j++ {
 			x, err := s.Solve(b.Col(j))
@@ -71,7 +71,7 @@ func TestSolveBlockWideBlockTiles(t *testing.T) {
 	s := NewLaplacian(g, Options{Tol: 1e-9})
 	cols := maxBlockCols + 7
 	b := randomRHS(rng, n, cols)
-	out, err := s.SolveBlock(b)
+	out, err := s.SolveBlockGuess(b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestSolveBlockWorkerEquivalence(t *testing.T) {
 		parallel.SetWorkers(workers)
 		defer parallel.SetWorkers(0)
 		s := NewLaplacian(g, Options{Tol: 1e-10, Precond: PrecondTree})
-		out, err := s.SolveMany(b)
+		out, err := s.SolveBlockGuess(b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestSolveBlockWorkerEquivalence(t *testing.T) {
 		got := solveWith(w)
 		for i := range ref.Data {
 			if math.Float64bits(ref.Data[i]) != math.Float64bits(got.Data[i]) {
-				t.Fatalf("workers=%d: SolveMany differs from single-worker result at flat index %d", w, i)
+				t.Fatalf("workers=%d: SolveBlockGuess differs from single-worker result at flat index %d", w, i)
 			}
 		}
 	}
@@ -120,7 +120,7 @@ func TestPCGBlockZeroColumn(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		b.Data[i*3+1] = 0 // middle column: zero rhs
 	}
-	x, results, errs := PCGBlock(AsOp(a), NewJacobi(a), b, Options{Tol: 1e-10})
+	x, results, errs := PCGBlockGuess(AsOp(a), NewJacobi(a), b, nil, Options{Tol: 1e-10})
 	if errs[0] != nil || errs[1] != nil || errs[2] != nil {
 		t.Fatalf("unexpected errors: %v", errs)
 	}
@@ -149,7 +149,7 @@ func TestPCGBlockMatchesScalarOnSPD(t *testing.T) {
 	a := spdCSR(rng, 64)
 	b := randomRHS(rng, 64, 6)
 	for _, prec := range []Preconditioner{IdentityPrec{}, NewJacobi(a)} {
-		x, results, errs := PCGBlock(AsOp(a), prec, b, Options{Tol: 1e-10})
+		x, results, errs := PCGBlockGuess(AsOp(a), prec, b, nil, Options{Tol: 1e-10})
 		for j := 0; j < b.Cols; j++ {
 			xs, rs, err := PCG(AsOp(a), prec, b.Col(j), nil, Options{Tol: 1e-10})
 			if (errs[j] == nil) != (err == nil) {
@@ -173,7 +173,7 @@ func TestSolveBlockNoConvergencePerColumn(t *testing.T) {
 	g := randomConnectedGraph(rng, n, 80)
 	s := NewLaplacian(g, Options{Tol: 1e-13, MaxIter: 4})
 	b := randomRHS(rng, n, 3)
-	out, err := s.SolveBlock(b)
+	out, err := s.SolveBlockGuess(b, nil)
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("want ErrNoConvergence with a 4-iteration budget, got %v", err)
 	}
@@ -188,8 +188,8 @@ func TestSolveBlockNoConvergencePerColumn(t *testing.T) {
 	}
 }
 
-// SolveBlockGuess: a nil guess is the zero guess (bit-identical to
-// SolveBlock), an arbitrary guess still converges to the same solution within
+// SolveBlockGuess: a nil guess is the zero guess (bit-identical to scalar
+// Solve), an arbitrary guess still converges to the same solution within
 // tolerance, and an exact guess converges without spending iterations.
 func TestSolveBlockGuess(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
@@ -198,17 +198,17 @@ func TestSolveBlockGuess(t *testing.T) {
 	s := NewLaplacian(g, Options{Tol: 1e-10, Precond: PrecondTree})
 	b := randomRHS(rng, n, cols)
 
-	plain, err := s.SolveBlock(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nilGuess, err := s.SolveBlockGuess(b, nil)
+	plain, err := s.SolveBlockGuess(b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < cols; j++ {
-		if !bitsEqualCol(nilGuess, j, plain.Col(j)) {
-			t.Fatalf("nil guess column %d differs from SolveBlock", j)
+		x, err := s.Solve(b.Col(j))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitsEqualCol(plain, j, x) {
+			t.Fatalf("nil guess column %d differs from scalar Solve", j)
 		}
 	}
 

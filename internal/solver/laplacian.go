@@ -9,9 +9,10 @@ import (
 	"cirstag/internal/sparse"
 )
 
-// Inner-solve metrics: the Laplacian solves inside GeneralizedTopK dominate
-// Phase-3 cost, so the per-solve PCG iteration distribution and the final
-// relative residuals are first-class convergence signals.
+// Inner-solve metrics: the Laplacian solves inside the generalized eigensolve
+// (eig.GeneralizedTopKSeeded) dominate Phase-3 cost, so the per-solve PCG
+// iteration distribution and the final relative residuals are first-class
+// convergence signals.
 var (
 	lapSolves        = obs.NewCounter("solver.laplacian.solves")
 	lapNoConvergence = obs.NewCounter("solver.laplacian.no_convergence")
@@ -132,14 +133,6 @@ func (s *Laplacian) Solve(b mat.Vec) (mat.Vec, error) {
 	}
 	s.project(x)
 	return x, nil
-}
-
-// SolveMany solves L⁺ applied to each column of B (n x k), returning an n x k
-// matrix of solutions. It delegates to the blocked solver, which shares the
-// preconditioner and fuses the SpMV across columns; every column is
-// bit-identical to a standalone Solve call, for any worker count.
-func (s *Laplacian) SolveMany(b *mat.Dense) (*mat.Dense, error) {
-	return s.SolveBlock(b)
 }
 
 // Dim returns the number of nodes.

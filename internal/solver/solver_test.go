@@ -204,26 +204,6 @@ func TestLaplacianFromCSRMatchesGraphSolver(t *testing.T) {
 	}
 }
 
-func TestSolveManyMatchesSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(46))
-	g := randomConnectedGraph(rng, 15, 20)
-	s := NewLaplacian(g, Options{Tol: 1e-11})
-	b := mat.NewDense(15, 3)
-	for i := range b.Data {
-		b.Data[i] = rng.NormFloat64()
-	}
-	out, err := s.SolveMany(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < 3; j++ {
-		x, _ := s.Solve(b.Col(j))
-		if mat.MaxAbsDiff(out.Col(j), x) > 1e-9 {
-			t.Fatalf("SolveMany column %d mismatch", j)
-		}
-	}
-}
-
 func TestPCGPathGraphEffectiveResistanceOracle(t *testing.T) {
 	// On a unit path graph, Reff(0, k) = k. Verify via the solver:
 	// Reff = (e_0 - e_k)ᵀ L⁺ (e_0 - e_k).

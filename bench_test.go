@@ -191,7 +191,7 @@ func BenchmarkDMDQuery(b *testing.B) {
 		b.ReportMetric(float64(gx.N()), "nodes")
 	})
 	b.Run("exact32", func(b *testing.B) {
-		cal := core.NewDMDCalculatorFromGraphs(gx, gy)
+		cal := core.NewDMDCalculatorOpts(gx, gy, core.DMDOptions{})
 		pairs := bench.RandomPairs(gx.N(), 32, 9)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -202,17 +202,17 @@ func BenchmarkDMDQuery(b *testing.B) {
 	})
 }
 
-// BenchmarkCoreRunLarge runs the full pipeline at two sizes beyond the
-// BenchmarkCoreRun point, with the large-graph machinery on (multilevel
-// eigensolve seeding, sketched sparsifier resistances above the pgm
-// threshold). Together with CoreRun the three sizes give the ledger a
-// node-count scaling curve; the "nodes" metric labels each point.
+// BenchmarkCoreRunLarge runs the full pipeline with default options at two
+// sizes beyond the BenchmarkCoreRun point, both above the pgm threshold where
+// sparsification ranks edges by sketched resistances. Together with CoreRun
+// the three sizes give the ledger a node-count scaling curve; the "nodes"
+// metric labels each point.
 func BenchmarkCoreRunLarge(b *testing.B) {
 	for _, target := range []int{12000, 24000} {
 		in := bench.SyntheticRunInput(target, 5)
 		b.Run(fmt.Sprintf("n%dk", target/1000), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Run(in, core.Options{Seed: 3, Multilevel: true}); err != nil {
+				if _, err := core.Run(in, core.Options{Seed: 3}); err != nil {
 					b.Fatal(err)
 				}
 			}

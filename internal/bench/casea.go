@@ -39,9 +39,6 @@ type CaseAConfig struct {
 	// SkipDimReduction switches the input manifold to the raw circuit graph
 	// (the Fig. 4 ablation).
 	SkipDimReduction bool
-	// UseSTAOracle additionally reports ground-truth STA relative changes
-	// (the GNN remains the primary simulator, as in the paper).
-	UseSTAOracle bool
 	// Cache, when non-nil, persists trained GNN weights and CirSTAG
 	// artifacts across experiment runs (forwarded to timing.NewCached and
 	// core.Options.Cache).
@@ -80,7 +77,9 @@ type TableIRow struct {
 	UnstableMax  float64
 	StableMean   float64
 	StableMax    float64
-	// Ground-truth STA counterparts (only when UseSTAOracle).
+	// Ground-truth STA counterparts of the means, from re-running STA on the
+	// same perturbed designs (the GNN remains the primary simulator, as in
+	// the paper).
 	STAUnstableMean float64
 	STAStableMean   float64
 }

@@ -129,7 +129,7 @@ func RunResistanceEngine(targetPins, pairs, exactSample int, eps float64, seed i
 	if exactSample < 1 {
 		exactSample = 1
 	}
-	exact := core.NewDMDCalculatorFromGraphs(gx, gy)
+	exact := core.NewDMDCalculatorOpts(gx, gy, core.DMDOptions{})
 	step := pairs / exactSample
 	if step < 1 {
 		step = 1

@@ -25,7 +25,6 @@ import (
 
 	"cirstag/internal/cache"
 	"cirstag/internal/cirerr"
-	"cirstag/internal/coarsen"
 	"cirstag/internal/eig"
 	"cirstag/internal/embed"
 	"cirstag/internal/graph"
@@ -53,11 +52,13 @@ type Options struct {
 	SkipDimReduction bool
 	// FeatureAlpha, when positive and Features is non-nil in the input,
 	// appends standardized node features (scaled by this factor) to the
-	// spectral embedding before manifold construction.
+	// spectral embedding before manifold construction. The CLI, cirstagd,
+	// cirbench and Case A set it to 1, and at that scale the features
+	// dominate: each feature column has standard deviation α while a
+	// spectral column, a unit-norm eigenvector, has about 1/√n, so the
+	// input manifold is in effect a kNN graph over the features (DESIGN §5,
+	// Phase 1).
 	FeatureAlpha float64
-	// Multilevel uses the coarsening-based eigensolver for the Phase-1
-	// spectral embedding on large graphs (paper ref. [31]).
-	Multilevel bool
 	// Seed drives every stochastic component (Lanczos start vectors, JL
 	// sketches, tree sampling). Runs with equal seeds are identical.
 	Seed int64
@@ -238,7 +239,7 @@ func Run(in Input, opts Options) (res *Result, err error) {
 				embedding = m
 			} else {
 				es := gxSpan.Child("embedding")
-				sp := embed.Spectral(in.Graph, rngEmbed, embed.Options{Dims: opts.EmbedDims, Multilevel: opts.Multilevel, Eig: opts.Eig})
+				sp := embed.Spectral(in.Graph, rngEmbed, embed.Options{Dims: opts.EmbedDims, Eig: opts.Eig})
 				embedding = sp.U
 				if opts.FeatureAlpha > 0 && in.Features != nil {
 					embedding = embed.FeatureAugmented(sp.U, in.Features, opts.FeatureAlpha)
@@ -265,7 +266,7 @@ func Run(in Input, opts Options) (res *Result, err error) {
 		},
 	)
 
-	res, err = scorePhase(gx, gy, n, opts, rngEig, root, nil, eig.WarmOptions{})
+	res, err = scorePhase(gx, gy, n, opts, rngEig, root, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +329,7 @@ func (o Options) artifactKeys(in Input) runKeys {
 	// options, feature augmentation, and the seed that drives the Lanczos
 	// start vectors (RNG stream 0 is derived from it).
 	ek := cache.NewKey(kindEmbed).Graph(in.Graph).Int(o.Seed)
-	embed.Options{Dims: o.EmbedDims, Multilevel: o.Multilevel, Eig: o.Eig}.AddToKey(ek)
+	embed.Options{Dims: o.EmbedDims, Eig: o.Eig}.AddToKey(ek)
 	ek.Float(o.FeatureAlpha).Dense(in.Features)
 	keys.embed = ek.Sum()
 
@@ -356,12 +357,12 @@ var degenerateRuns = obs.NewCounter("core.degenerate_geometry")
 // With warm == nil it is deterministic given (gx, gy, opts, rngEig), which is
 // what makes cache-warm and incremental full rebuilds bit-identical to cold
 // runs. A non-nil warm set switches the eigensolve to the warm-started
-// Rayleigh–Ritz refinement (eig.GeneralizedTopKWarm, tuned by wopts) — an
-// approximation reserved for the incremental patch path, never for any path
-// that promises bit-identity. When the geometry is so degenerate that any
-// eigenvalue or score comes out NaN/±Inf it returns
-// cirerr.ErrDegenerateGeometry — a Result never carries a non-finite score.
-func scorePhase(gx, gy *graph.Graph, n int, opts Options, rngEig *rand.Rand, root *obs.Span, warm []mat.Vec, wopts eig.WarmOptions) (*Result, error) {
+// Rayleigh–Ritz refinement (eig.GeneralizedTopKWarm) — an approximation
+// reserved for the incremental patch path, never for any path that promises
+// bit-identity. When the geometry is so degenerate that any eigenvalue or
+// score comes out NaN/±Inf it returns cirerr.ErrDegenerateGeometry — a
+// Result never carries a non-finite score.
+func scorePhase(gx, gy *graph.Graph, n int, opts Options, rngEig *rand.Rand, root *obs.Span, warm []mat.Vec) (*Result, error) {
 	// The generalized eigenproblem needs both Laplacians to share a single
 	// nontrivial kernel; bridge any stray components with weak edges.
 	cs := root.Child("connectivity")
@@ -377,12 +378,11 @@ func scorePhase(gx, gy *graph.Graph, n int, opts Options, rngEig *rand.Rand, roo
 	var pairs []eig.GeneralizedPair
 	if warm != nil {
 		eigSpan := root.Child("eigensolve_warm")
-		pairs = eig.GeneralizedTopKWarm(gx.Laplacian(), gy.Laplacian(), s, warm, rngEig, wopts)
+		pairs = eig.GeneralizedTopKWarm(gx.Laplacian(), gy.Laplacian(), s, warm, rngEig)
 		eigSpan.End()
 	} else {
-		seeds := multilevelSeeds(gx, gy, s, opts, root)
 		eigSpan := root.Child("eigensolve")
-		pairs = eig.GeneralizedTopKSeeded(gx.Laplacian(), gy.Laplacian(), s, seeds, rngEig, opts.Eig)
+		pairs = eig.GeneralizedTopKSeeded(gx.Laplacian(), gy.Laplacian(), s, nil, rngEig, opts.Eig)
 		eigSpan.End()
 	}
 
@@ -458,65 +458,6 @@ func scorePhase(gx, gy *graph.Graph, n int, opts Options, rngEig *rand.Rand, roo
 		Eigenvalues:    eigenvalues,
 		Eigenvectors:   eigenvectors,
 	}, nil
-}
-
-// multilevelSeedMinNodes gates the multilevel warm start: below it the fine
-// eigensolve is already cheap and the coarse solve would be pure overhead.
-const multilevelSeedMinNodes = 1024
-
-// mlSeedBuilds counts score phases that warm-started the generalized
-// eigensolve from a coarse-level solve.
-var mlSeedBuilds = obs.NewCounter("core.multilevel_seed.builds")
-
-// multilevelSeeds warm-starts the Phase-3 generalized eigensolve on large
-// manifolds (Options.Multilevel, n ≥ multilevelSeedMinNodes): it coarsens G_X
-// by heavy-edge matching, pushes G_Y through the same aggregation so the
-// coarse problem is still L_X·v = ζ·L_Y·v in miniature, solves it there, and
-// prolongates the coarse eigenvectors back to the fine node set. The fine
-// iteration then starts (and restarts) from directions already rich in the
-// dominant generalized eigenspace instead of from noise. Seeding draws from
-// its own RNG stream (4), so it never perturbs the streams of the embedding,
-// manifold, or fine-eigensolve stages. Returns nil — meaning "run unseeded,
-// exactly as before" — when disabled, below threshold, or when coarsening
-// cannot shrink the graph.
-func multilevelSeeds(gx, gy *graph.Graph, s int, opts Options, root *obs.Span) []mat.Vec {
-	n := gx.N()
-	if !opts.Multilevel || n < multilevelSeedMinNodes {
-		return nil
-	}
-	span := root.Child("multilevel_seed")
-	defer span.End()
-	rngML := parallel.NewRNG(opts.Seed, 4)
-	h := coarsen.Build(gx, rngML, coarsen.Options{MinNodes: 256})
-	if len(h.Levels) == 0 {
-		return nil
-	}
-	mapping := h.ProlongMap(len(h.Levels) - 1)
-	cgx := h.Coarsest()
-	cgy := coarsen.Project(gy, mapping, cgx.N())
-	k := s
-	if k > cgx.N()-1 {
-		k = cgx.N() - 1
-	}
-	if k < 1 {
-		return nil
-	}
-	pairs := eig.GeneralizedTopKSeeded(
-		ensureConnected(cgx).Laplacian(), ensureConnected(cgy).Laplacian(),
-		k, nil, rngML, opts.Eig)
-	if len(pairs) == 0 {
-		return nil
-	}
-	mlSeedBuilds.Inc()
-	seeds := make([]mat.Vec, len(pairs))
-	for j, p := range pairs {
-		v := make(mat.Vec, n)
-		for i := 0; i < n; i++ {
-			v[i] = p.Vector[mapping[i]]
-		}
-		seeds[j] = v
-	}
-	return seeds
 }
 
 // ensureConnected returns g if connected; otherwise it returns a copy with

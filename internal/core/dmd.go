@@ -65,19 +65,7 @@ func (o DMDOptions) withDefaults() DMDOptions {
 	return o
 }
 
-// NewDMDCalculator prepares exact resistance solvers on both manifolds of a
-// CirSTAG result.
-func NewDMDCalculator(res *Result) *DMDCalculator {
-	return NewDMDCalculatorOpts(res.InputManifold, res.OutputManifold, DMDOptions{})
-}
-
-// NewDMDCalculatorFromGraphs builds an exact calculator from explicit
-// manifolds.
-func NewDMDCalculatorFromGraphs(gx, gy *graph.Graph) *DMDCalculator {
-	return NewDMDCalculatorOpts(gx, gy, DMDOptions{})
-}
-
-// RNG streams of the two sketch builds. Streams 0–4 belong to the core.Run
+// RNG streams of the two sketch builds. Streams 0–3 belong to the core.Run
 // pipeline; the DMD calculator forks its own streams from DMDOptions.Seed so
 // an approximate calculator never perturbs (or depends on) pipeline RNG state.
 const (
@@ -88,8 +76,9 @@ const (
 // kindDMDSketch is the artifact-cache kind of persisted resistance sketches.
 const kindDMDSketch = "core.dmd.sketch"
 
-// NewDMDCalculatorOpts builds a calculator from explicit manifolds with the
-// given query-engine options.
+// NewDMDCalculatorOpts builds a calculator on a manifold pair — typically a
+// Result's InputManifold and OutputManifold — with the given query-engine
+// options. DMDOptions{} prepares exact resistance solvers on both manifolds.
 func NewDMDCalculatorOpts(gx, gy *graph.Graph, opts DMDOptions) *DMDCalculator {
 	if gx.N() != gy.N() {
 		panic(fmt.Sprintf("core: manifold sizes differ: %d vs %d", gx.N(), gy.N()))

@@ -27,7 +27,7 @@ func TestDMDClampsExtremeDistortion(t *testing.T) {
 		gy.AddEdge(e[0], e[1], 1e-8)
 	}
 	before := dmdClamped.Value()
-	d := NewDMDCalculatorFromGraphs(gx, gy)
+	d := NewDMDCalculatorOpts(gx, gy, DMDOptions{})
 	got := d.DMD(0, 1)
 	if got != MaxDMD {
 		t.Fatalf("DMD = %v, want clamp to MaxDMD = %v", got, MaxDMD)
@@ -91,7 +91,7 @@ func TestApproxDMDTracksExact(t *testing.T) {
 	n := 90
 	gx, gy := randomManifoldPair(rng, n)
 	const eps = 0.5
-	exact := NewDMDCalculatorFromGraphs(gx, gy)
+	exact := NewDMDCalculatorOpts(gx, gy, DMDOptions{})
 	approx := NewDMDCalculatorOpts(gx, gy, DMDOptions{Approx: true, Eps: eps, Seed: 7})
 	if !approx.Approx() || exact.Approx() {
 		t.Fatal("Approx() flags wrong")
@@ -131,7 +131,7 @@ func TestApproxDMDFallsBackBelowFloor(t *testing.T) {
 	// Short node 0 and 1 together on the input manifold: Reff_X(0,1) ~ 1e-12,
 	// far below the 1e-6×mean floor, while Reff_Y stays O(1).
 	gx.AddEdge(0, 1, 1e12)
-	exact := NewDMDCalculatorFromGraphs(gx, gy)
+	exact := NewDMDCalculatorOpts(gx, gy, DMDOptions{})
 	approx := NewDMDCalculatorOpts(gx, gy, DMDOptions{Approx: true, Eps: 0.5, Seed: 3})
 	fallbacksBefore := dmdExactFallbacks.Value()
 	de, da := exact.DMD(0, 1), approx.DMD(0, 1)
@@ -152,7 +152,7 @@ func TestDistanceQueriesUseSketchDispatch(t *testing.T) {
 	gx, gy := randomManifoldPair(rng, n)
 	gx.AddEdge(0, 1, 1e12) // degenerate pair on the input side
 	approx := NewDMDCalculatorOpts(gx, gy, DMDOptions{Approx: true, Eps: 0.5, Seed: 5})
-	exact := NewDMDCalculatorFromGraphs(gx, gy)
+	exact := NewDMDCalculatorOpts(gx, gy, DMDOptions{})
 
 	// Reliable pair: the answer IS the sketched resistance.
 	if got, want := approx.InputDistance(10, 40), approx.skx.Resistance(10, 40); got != want {

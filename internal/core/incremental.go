@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"cirstag/internal/cirerr"
-	"cirstag/internal/eig"
 	"cirstag/internal/graph"
 	"cirstag/internal/mat"
 	"cirstag/internal/obs"
@@ -72,14 +71,6 @@ type IncrementalOptions struct {
 	// almost-stale rows degrade the patch approximation together.
 	// Default 0.25.
 	MaxDriftFrac float64
-	// ExactEigensolve forces the patch path to run the cold generalized
-	// Lanczos solve instead of warm-starting from the baseline eigenvectors.
-	// Slower but independent of the retained spectrum; full rebuilds always
-	// solve cold regardless.
-	ExactEigensolve bool
-	// Warm tunes the warm-started eigensolve on the patch path (ignored
-	// under ExactEigensolve). Zero value = eig.WarmOptions defaults.
-	Warm eig.WarmOptions
 }
 
 func (o IncrementalOptions) withDefaults() IncrementalOptions {
@@ -226,7 +217,7 @@ func (b *Baseline) RunIncremental(newOutput *mat.Dense, iopts IncrementalOptions
 	// augmented with spike probes at the changed nodes; with those on board
 	// the Rayleigh–Ritz refinement typically certifies in one round.
 	var warm []mat.Vec
-	if patched && !iopts.ExactEigensolve && len(b.Result.Eigenvectors) > 0 {
+	if patched && len(b.Result.Eigenvectors) > 0 {
 		warm = make([]mat.Vec, 0, 2*len(b.Result.Eigenvectors))
 		warm = append(warm, b.Result.Eigenvectors...)
 		maxSpikes := len(b.Result.Eigenvectors)
@@ -242,7 +233,7 @@ func (b *Baseline) RunIncremental(newOutput *mat.Dense, iopts IncrementalOptions
 	// The input manifold is cloned before it enters the result: scorePhase
 	// stores its gx argument in the Result, and handing out the baseline's
 	// own graph would let callers mutate retained state.
-	res, err = scorePhase(b.Result.InputManifold.Clone(), newGY, n, b.Opts, rngEig, root, warm, iopts.Warm)
+	res, err = scorePhase(b.Result.InputManifold.Clone(), newGY, n, b.Opts, rngEig, root, warm)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -294,26 +285,6 @@ func (b *Baseline) Advance(newOutput *mat.Dense, res *Result, info *IncrementalI
 	b.Input.Output = newOutput.Clone()
 	b.Result = res.Clone()
 	return nil
-}
-
-// Fork deep-copies the baseline's mutable state so two sequences can advance
-// from a shared prefix concurrently. The circuit graph and features are
-// shared (the Run contract treats them as immutable); the retained output,
-// Result, and drift ledger are cloned. Options are copied by value — callers
-// running forks concurrently under tracing should re-parent Opts.Span per
-// fork so each sequence's spans land in its own subtree.
-func (b *Baseline) Fork() *Baseline {
-	if b == nil {
-		return nil
-	}
-	cp := &Baseline{Input: b.Input, Opts: b.Opts, Result: b.Result.Clone()}
-	if b.Input.Output != nil {
-		cp.Input.Output = b.Input.Output.Clone()
-	}
-	if b.drift != nil {
-		cp.drift = b.drift.Clone()
-	}
-	return cp
 }
 
 // rowDisplacements returns, per row, the largest absolute entry difference

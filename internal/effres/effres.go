@@ -121,8 +121,6 @@ func NewSketch(g *graph.Graph, q int, rng *rand.Rand, opts solver.Options) *Sket
 	if q < 1 {
 		q = 1
 	}
-	span := obs.Start("effres.sketch_build")
-	defer span.End()
 	start := time.Now()
 	s := solver.NewLaplacian(g, opts)
 	edges := g.Edges()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cirstag/internal/graph"
+	"cirstag/internal/obs"
 	"cirstag/internal/solver"
 )
 
@@ -283,5 +284,26 @@ func TestSketchQMonotoneInEps(t *testing.T) {
 	// exploding or returning a degenerate width.
 	if q := SketchQ(1000, -1); q != SketchQ(1000, 0.3) {
 		t.Fatalf("SketchQ(-1) fallback mismatch: %d", q)
+	}
+}
+
+// TestNewSketchLeavesNoRootSpan: a sketch build records its wall time in the
+// effres.sketch.build_ms histogram and leaves tracing to its caller's span. A
+// root span started here would never be freed by obs.ReleaseRoot, so every
+// build would grow a long-lived process's span forest.
+func TestNewSketchLeavesNoRootSpan(t *testing.T) {
+	obs.Reset()
+	obs.Enable()
+	defer func() {
+		obs.Disable()
+		obs.Reset()
+	}()
+	NewSketch(cycleGraph(32), 8, rand.New(rand.NewSource(1)), solver.Options{})
+	rep := obs.Snapshot()
+	if len(rep.Spans) != 0 {
+		t.Fatalf("NewSketch left %d root span(s), first %q", len(rep.Spans), rep.Spans[0].Name)
+	}
+	if h := rep.Histograms["effres.sketch.build_ms"]; h.Count != 1 {
+		t.Fatalf("effres.sketch.build_ms recorded %d builds, want 1", h.Count)
 	}
 }

@@ -42,11 +42,11 @@ type GeneralizedPair struct {
 // approximate cubed distance-mapping distortions.
 //
 // Seeds are optional warm-start directions; nil seeds start the Krylov basis
-// from rng alone. Seeds (typically prolongated coarse-level eigenvectors from
-// a coarsening hierarchy) are consumed in order: the first usable seed
-// becomes the Krylov start vector and later ones replace the random
-// directions injected at breakdown restarts, before the iteration falls back
-// to random vectors. Each consumed seed advances eig.generalized.seeded.
+// from rng alone, which is what every pipeline caller passes. Seeds are
+// consumed in order: the first usable seed becomes the Krylov start vector
+// and later ones replace the random directions injected at breakdown
+// restarts, before the iteration falls back to random vectors. Each consumed
+// seed advances eig.generalized.seeded.
 // Unusable seeds (wrong length, non-finite, or in the span of the current
 // basis) are skipped.
 func GeneralizedTopKSeeded(lx, ly *sparse.CSR, k int, seeds []mat.Vec, rng *rand.Rand, opts Options) []GeneralizedPair {

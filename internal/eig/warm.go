@@ -30,55 +30,37 @@ var (
 	warmFallbacks = obs.NewCounter("eig.warm.fallbacks")
 )
 
-// WarmOptions tunes GeneralizedTopKWarm. The zero value gives defaults tuned
-// for the incremental patch path: a looser inner tolerance than the cold
-// solve (the Rayleigh–Ritz projection averages solver noise out) and a
-// residual target that keeps score rankings aligned with a cold recompute.
-type WarmOptions struct {
-	// ResidTol is the convergence target: the largest relative B-norm Ritz
-	// residual ‖A·v − θ·v‖_B / θ over the top-k pairs. Default 0.05.
-	ResidTol float64
-	// MaxRounds caps the subspace-iteration rounds; each round costs one
-	// blocked k-column Laplacian solve. Default 3.
-	MaxRounds int
-	// InnerTol is the relative-residual tolerance of the inner L_Y solves.
-	// Default 1e-5.
-	InnerTol float64
-	// EnrichMaxIter caps the inner-solve iterations of the enrichment
+// Tuning of GeneralizedTopKWarm for the incremental patch path: a looser
+// inner tolerance than the cold solve (the Rayleigh–Ritz projection averages
+// solver noise out) and a residual target that keeps score rankings aligned
+// with a cold recompute.
+const (
+	// warmResidTol is the convergence target: the largest relative B-norm
+	// Ritz residual ‖A·v − θ·v‖_B / θ over the top-k pairs.
+	warmResidTol = 0.05
+	// warmMaxRounds caps the subspace-iteration rounds; each round costs one
+	// blocked k-column Laplacian solve.
+	warmMaxRounds = 3
+	// warmInnerTol is the relative-residual tolerance of the inner L_Y solves.
+	warmInnerTol = 1e-5
+	// warmEnrichMaxIter caps the inner-solve iterations of the enrichment
 	// columns (probe directions beyond the first k). Probes only need to
 	// inject the right subspace, not a solved vector — the Rayleigh–Ritz
 	// residual check still gates convergence of the returned pairs — so a
-	// rough pseudo-inverse application is enough. Default 48.
-	EnrichMaxIter int
-}
-
-func (o WarmOptions) withDefaults() WarmOptions {
-	if o.ResidTol <= 0 {
-		o.ResidTol = 0.05
-	}
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = 3
-	}
-	if o.InnerTol <= 0 {
-		o.InnerTol = 1e-5
-	}
-	if o.EnrichMaxIter <= 0 {
-		o.EnrichMaxIter = 48
-	}
-	return o
-}
+	// rough pseudo-inverse application is enough.
+	warmEnrichMaxIter = 48
+)
 
 // GeneralizedTopKWarm computes the k largest generalized eigenpairs of
 // L_X·v = ζ·L_Y·v like GeneralizedTopKSeeded, but warm-started from a prior
 // solve's eigenvectors instead of growing a Krylov basis from noise. It is an
-// approximation refined to WarmOptions.ResidTol, not a bit-identical
-// replacement for the cold solve — callers that need bit-identity to a fresh
-// run (full rebuilds, cache-warm paths) must keep using
-// GeneralizedTopKSeeded.
+// approximation refined to warmResidTol, not a bit-identical replacement for
+// the cold solve — callers that need bit-identity to a fresh run (full
+// rebuilds, cache-warm paths) must keep using GeneralizedTopKSeeded.
 // Unusable warm vectors (wrong length, non-finite, dependent) are skipped and
 // replaced with random directions, so a degenerate warm set degrades to plain
 // subspace iteration rather than failing.
-func GeneralizedTopKWarm(lx, ly *sparse.CSR, k int, warm []mat.Vec, rng *rand.Rand, opts WarmOptions) []GeneralizedPair {
+func GeneralizedTopKWarm(lx, ly *sparse.CSR, k int, warm []mat.Vec, rng *rand.Rand) []GeneralizedPair {
 	n := lx.Rows
 	if lx.Cols != n || ly.Rows != n || ly.Cols != n {
 		panic(fmt.Sprintf("eig: GeneralizedTopKWarm dims L_X %dx%d, L_Y %dx%d", lx.Rows, lx.Cols, ly.Rows, ly.Cols))
@@ -89,18 +71,17 @@ func GeneralizedTopKWarm(lx, ly *sparse.CSR, k int, warm []mat.Vec, rng *rand.Ra
 	if k > n-1 {
 		k = n - 1
 	}
-	opts = opts.withDefaults()
 	warmRuns.Inc()
 	solveY := solver.NewLaplacianFromCSR(ly, solver.Options{
-		Tol:     opts.InnerTol,
+		Tol:     warmInnerTol,
 		MaxIter: 1200 + 16*isqrt(n),
 		Precond: solver.PrecondTree,
 	})
 	// Budget-capped sibling for the enrichment columns; shares the L_Y
-	// factorization-free setup but stops after EnrichMaxIter iterations.
+	// factorization-free setup but stops after warmEnrichMaxIter iterations.
 	solveYEnrich := solver.NewLaplacianFromCSR(ly, solver.Options{
-		Tol:     opts.InnerTol,
-		MaxIter: opts.EnrichMaxIter,
+		Tol:     warmInnerTol,
+		MaxIter: warmEnrichMaxIter,
 		Precond: solver.PrecondTree,
 	})
 
@@ -153,7 +134,7 @@ func GeneralizedTopKWarm(lx, ly *sparse.CSR, k int, warm []mat.Vec, rng *rand.Ra
 	}
 
 	var out []GeneralizedPair
-	for round := 0; round < opts.MaxRounds; round++ {
+	for round := 0; round < warmMaxRounds; round++ {
 		warmRounds.Inc()
 		// AX = L_Y⁺·L_X·X in one blocked multi-RHS solve. Non-convergence
 		// returns the best iterate per column, which the Rayleigh–Ritz
@@ -186,8 +167,8 @@ func GeneralizedTopKWarm(lx, ly *sparse.CSR, k int, warm []mat.Vec, rng *rand.Ra
 			}
 		}
 		// The first k columns carry the (near-)converged pairs and are solved
-		// to InnerTol; the rest are enrichment probes solved under the capped
-		// budget. Both start from the θ·x Rayleigh-quotient guess.
+		// to warmInnerTol; the rest are enrichment probes solved under the
+		// capped budget. Both start from the θ·x Rayleigh-quotient guess.
 		primary := k
 		if primary > m {
 			primary = m
@@ -249,7 +230,7 @@ func GeneralizedTopKWarm(lx, ly *sparse.CSR, k int, warm []mat.Vec, rng *rand.Ra
 			out[c] = GeneralizedPair{Value: val, Vector: x}
 			ritzAV[c] = av
 		}
-		if maxResid <= opts.ResidTol || round+1 >= opts.MaxRounds {
+		if maxResid <= warmResidTol || round+1 >= warmMaxRounds {
 			break
 		}
 		// Not converged: one subspace-iteration step. The next block is the

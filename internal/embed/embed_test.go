@@ -131,19 +131,6 @@ func TestSpectralDimsClamped(t *testing.T) {
 	}
 }
 
-func TestSpectralDropTrivial(t *testing.T) {
-	rng := rand.New(rand.NewSource(105))
-	g := randomConnectedGraph(rng, 40, 60)
-	r := Spectral(g, rng, Options{Dims: 4, DropTrivial: true})
-	if r.U.Cols != 4 {
-		t.Fatalf("dims %d, want 4", r.U.Cols)
-	}
-	// First kept eigenvalue should be the second-smallest: strictly positive.
-	if r.Values[0] < 1e-10 {
-		t.Fatal("trivial eigenvalue not dropped")
-	}
-}
-
 func TestSpectralEmptyAndSingleton(t *testing.T) {
 	rng := rand.New(rand.NewSource(106))
 	r := Spectral(graph.New(0), rng, Options{})
@@ -188,23 +175,6 @@ func TestFeatureAugmented(t *testing.T) {
 	for _, x := range cc.Data {
 		if math.IsNaN(x) {
 			t.Fatal("NaN from constant feature column")
-		}
-	}
-}
-
-func TestSpectralMultilevelAgreesWithLanczos(t *testing.T) {
-	rng := rand.New(rand.NewSource(107))
-	g := randomConnectedGraph(rng, 300, 500)
-	direct := Spectral(g, rand.New(rand.NewSource(1)), Options{Dims: 6})
-	ml := Spectral(g, rand.New(rand.NewSource(1)), Options{Dims: 6, Multilevel: true})
-	if ml.U.Rows != 300 || ml.U.Cols != 6 {
-		t.Fatalf("multilevel embedding dims %dx%d", ml.U.Rows, ml.U.Cols)
-	}
-	// Eigenvalues within a few percent.
-	for j := 0; j < 6; j++ {
-		d := math.Abs(direct.Values[j] - ml.Values[j])
-		if d > 0.05*(direct.Values[j]+0.05) {
-			t.Fatalf("multilevel eigenvalue %d: %v vs %v", j, ml.Values[j], direct.Values[j])
 		}
 	}
 }

@@ -3,7 +3,6 @@ package knn
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"cirstag/internal/graph"
@@ -176,26 +175,6 @@ func TestBuildGraphConnectsClusters(t *testing.T) {
 	gBig := toGraph(BuildGraph(pts, 25))
 	if !gBig.IsConnected() {
 		t.Fatal("k=25 should connect the clusters")
-	}
-}
-
-func TestGaussianWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	pts := randPoints(rng, 30, 3)
-	g := BuildGraph(pts, 4)
-	g.GaussianWeights(0) // median sigma
-	for _, e := range g.Edges {
-		if e.W <= 0 || e.W > 1 {
-			t.Fatalf("Gaussian weight %v out of (0,1]", e.W)
-		}
-	}
-	// Closer pairs must have larger weights.
-	es := append([]WeightedEdge(nil), g.Edges...)
-	sort.Slice(es, func(a, b int) bool { return es[a].D2 < es[b].D2 })
-	for i := 1; i < len(es); i++ {
-		if es[i].W > es[i-1].W+1e-12 {
-			t.Fatal("Gaussian weights not monotone in distance")
-		}
 	}
 }
 

@@ -28,11 +28,6 @@ type Options struct {
 	AvgDegree int
 	// SkipSparsify keeps the full kNN graph (used by ablations).
 	SkipSparsify bool
-	// Gaussian switches edge weights to the heat kernel exp(−d²/2σ²)
-	// instead of the default 1/d² (ablation option).
-	Gaussian bool
-	// Sigma is the Gaussian bandwidth (0 = median heuristic).
-	Sigma float64
 	// Span, when non-nil, is the parent trace span under which the kNN and
 	// sparsification sub-phases record their wall time (obs.Span is nil-safe,
 	// so callers can forward a span unconditionally).
@@ -67,9 +62,6 @@ func Build(x *mat.Dense, rng *rand.Rand, opts Options) *graph.Graph {
 	opts = opts.withDefaults()
 	ks := opts.Span.Child("knn")
 	kg := knn.BuildGraph(x, opts.K)
-	if opts.Gaussian {
-		kg.GaussianWeights(opts.Sigma)
-	}
 	g := graph.New(kg.N)
 	for _, e := range kg.Edges {
 		g.AddEdge(e.U, e.V, e.W)

@@ -183,23 +183,6 @@ func TestObjectivePanicsOnBadSigma(t *testing.T) {
 	Objective(graph.New(2), mat.NewDense(2, 1), 0)
 }
 
-func TestGaussianOptionProducesValidManifold(t *testing.T) {
-	rng := rand.New(rand.NewSource(96))
-	pts := mat.NewDense(60, 3)
-	for i := range pts.Data {
-		pts.Data[i] = rng.NormFloat64()
-	}
-	g := Build(pts, rng, Options{K: 6, AvgDegree: 5, Gaussian: true})
-	if !g.IsConnected() {
-		t.Fatal("Gaussian-weighted manifold disconnected")
-	}
-	for _, e := range g.Edges() {
-		if e.W <= 0 || e.W > 1+1e-12 {
-			t.Fatalf("Gaussian weight %v out of range", e.W)
-		}
-	}
-}
-
 // TestPatchKNNChainedDegreeBounded: a node dragged across the embedding by a
 // long chain of patches must shed its stale neighbourhoods along the way.
 // Before pruning, every patch added the node's k new neighbours while keeping

@@ -2,30 +2,25 @@ package seq
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"cirstag/internal/circuit"
 	"cirstag/internal/core"
 	"cirstag/internal/mat"
 	"cirstag/internal/obs"
-	"cirstag/internal/parallel"
 	"cirstag/internal/perturb"
 	"cirstag/internal/timing"
 )
 
 var (
-	seqSteps     = obs.NewCounter("seq.steps")
-	seqPrefixHit = obs.NewCounter("seq.prefix_hits")
-	seqStepMS    = obs.NewHistogram("seq.step_ms", obs.ExpBuckets(1, 4, 10)...)
+	seqSteps  = obs.NewCounter("seq.steps")
+	seqStepMS = obs.NewHistogram("seq.step_ms", obs.ExpBuckets(1, 4, 10)...)
 )
 
 // Predictor produces the GNN output matrix (CirSTAG's Y) for a netlist
-// variant. Fork must return a predictor safe to use concurrently with the
-// receiver and every other fork — RunBatch calls it once per sequence.
+// variant.
 type Predictor interface {
 	Outputs(nl *circuit.Netlist) (*mat.Dense, error)
-	Fork() Predictor
 }
 
 // ModelPredictor adapts a trained timing model to the Predictor interface.
@@ -38,9 +33,6 @@ func NewModelPredictor(m *timing.Model) *ModelPredictor { return &ModelPredictor
 func (p *ModelPredictor) Outputs(nl *circuit.Netlist) (*mat.Dense, error) {
 	return p.m.Predict(nl).Embeddings, nil
 }
-
-// Fork returns an inference-only copy backed by timing.Model.Fork.
-func (p *ModelPredictor) Fork() Predictor { return &ModelPredictor{m: p.m.Fork()} }
 
 // Options configures a sequence run.
 type Options struct {
@@ -127,46 +119,24 @@ func Run(nl *circuit.Netlist, script *Script, pred Predictor, opts Options) (*Re
 	if err != nil {
 		return nil, err
 	}
-	return resume(&snapshot{nl: nl, base: base}, script, 0, pred, opts)
-}
-
-// snapshot is the chained state after some prefix of a script: the current
-// design, a baseline rebased onto it, and the reports of the steps so far.
-type snapshot struct {
-	nl    *circuit.Netlist
-	base  *core.Baseline
-	steps []StepReport
-}
-
-// fork deep-copies the mutable state so two sequences can continue from the
-// same prefix independently.
-func (s *snapshot) fork() *snapshot {
-	return &snapshot{nl: s.nl, base: s.base.Fork(), steps: append([]StepReport(nil), s.steps...)}
-}
-
-// resume continues a sequence from a snapshot taken after `from` steps,
-// mutating snap in place. publish, when non-nil, is offered the snapshot
-// after each step (RunBatch uses it to share common prefixes).
-func resume(snap *snapshot, script *Script, from int, pred Predictor, opts Options,
-	publish ...func(step int, s *snapshot)) (*Result, error) {
-	exclude := perturb.PrimaryOutputPinSet(snap.nl)
-	for i := from; i < len(script.Steps); i++ {
-		st := script.Steps[i]
+	exclude := perturb.PrimaryOutputPinSet(nl)
+	var steps []StepReport
+	for i, st := range script.Steps {
 		stepSpan := startSpan(opts.Span, "seq.step")
-		snap.base.Opts.Span = stepSpan
+		base.Opts.Span = stepSpan
 		t0 := time.Now()
-		next := Apply(snap.nl, st, stepRNG(script.Seed, i))
+		next := Apply(nl, st, stepRNG(script.Seed, i))
 		y, err := pred.Outputs(next)
 		if err != nil {
 			stepSpan.End()
 			return nil, fmt.Errorf("seq: step %d (%s) inference: %w", i, st.Op, err)
 		}
-		res, info, err := snap.base.RunIncremental(y, opts.Inc)
+		res, info, err := base.RunIncremental(y, opts.Inc)
 		if err != nil {
 			stepSpan.End()
 			return nil, fmt.Errorf("seq: step %d (%s): %w", i, st.Op, err)
 		}
-		if err := snap.base.Advance(y, res, info); err != nil {
+		if err := base.Advance(y, res, info); err != nil {
 			stepSpan.End()
 			return nil, fmt.Errorf("seq: step %d (%s) advance: %w", i, st.Op, err)
 		}
@@ -188,121 +158,17 @@ func resume(snap *snapshot, script *Script, from int, pred Predictor, opts Optio
 			rep.TopNode = ranking.Order[0]
 			rep.TopScore = ranking.Scores[0]
 		}
-		snap.nl = next
-		snap.steps = append(snap.steps, rep)
+		nl = next
+		steps = append(steps, rep)
 		obs.Debugf("seq %s step %d/%d: %s, %d changed, %s path, %.1fms",
 			script.Name, i+1, len(script.Steps), st.Op, rep.ChangedNodes, rep.Path(), latency)
-		for _, pub := range publish {
-			pub(i, snap)
-		}
 	}
 	return &Result{
 		Name:         script.Name,
-		Steps:        snap.steps,
-		Final:        snap.base.Result.Clone(),
-		FinalNetlist: snap.nl,
+		Steps:        steps,
+		Final:        base.Result.Clone(),
+		FinalNetlist: nl,
 	}, nil
-}
-
-// RunBatch scores several sequences over the same design concurrently. The
-// step-0 baseline is computed once and forked per sequence, and chained state
-// is memoized at every step whose (seed, step prefix) is shared by at least
-// two scripts in the batch, so a batch of sequences differing only in their
-// tails pays for the common prefix once (best-effort: a slow prefix owner and
-// an eager sibling may still both compute it, which is safe because every
-// path is deterministic — whoever wins, the bytes are identical). Results are
-// aligned with scripts; the first failing sequence aborts the batch's error
-// return but never corrupts its siblings.
-func RunBatch(nl *circuit.Netlist, scripts []*Script, pred Predictor, opts Options) ([]*Result, error) {
-	for si, s := range scripts {
-		if err := s.Validate(nl); err != nil {
-			return nil, fmt.Errorf("seq: script %d: %w", si, err)
-		}
-	}
-	if opts.Core.Span == nil {
-		opts.Core.Span = opts.Span
-	}
-	y0, err := pred.Outputs(nl)
-	if err != nil {
-		return nil, err
-	}
-	base, err := core.NewBaseline(core.Input{
-		Graph:    nl.PinGraph(),
-		Output:   y0,
-		Features: nl.Features(),
-	}, opts.Core)
-	if err != nil {
-		return nil, err
-	}
-
-	// Prefix hash chains: prefixes[si][i] identifies the chained state after
-	// steps 0..i of script si (seed included — rewire steps depend on it).
-	// Only prefixes shared by ≥2 scripts are worth memoizing.
-	prefixes := make([][]string, len(scripts))
-	shared := map[string]int{}
-	for si, s := range scripts {
-		prefixes[si] = prefixHashes(s)
-		for _, h := range prefixes[si] {
-			shared[h]++
-		}
-	}
-	var mu sync.Mutex
-	memo := map[string]*snapshot{}
-
-	type outcome struct {
-		res *Result
-		err error
-	}
-	outcomes := parallel.Map(len(scripts), 1, func(si int) outcome {
-		script := scripts[si]
-		hashes := prefixes[si]
-		// Longest already-memoized prefix of this script.
-		snap, from := (*snapshot)(nil), 0
-		mu.Lock()
-		for i := len(hashes) - 1; i >= 0; i-- {
-			if s, ok := memo[hashes[i]]; ok {
-				snap, from = s.fork(), i+1
-				break
-			}
-		}
-		mu.Unlock()
-		if snap == nil {
-			snap = &snapshot{nl: nl, base: base.Fork()}
-		} else {
-			seqPrefixHit.Inc()
-		}
-		res, err := resume(snap, script, from, pred.Fork(), opts, func(i int, s *snapshot) {
-			if shared[hashes[i]] < 2 {
-				return
-			}
-			mu.Lock()
-			if _, ok := memo[hashes[i]]; !ok {
-				memo[hashes[i]] = s.fork()
-			}
-			mu.Unlock()
-		})
-		return outcome{res, err}
-	})
-	results := make([]*Result, len(scripts))
-	for si, o := range outcomes {
-		if o.err != nil {
-			return nil, fmt.Errorf("seq: script %d: %w", si, o.err)
-		}
-		results[si] = o.res
-	}
-	return results, nil
-}
-
-// prefixHashes returns one content hash per step, chaining so that equal
-// hashes imply equal (seed, steps[0..i]) prefixes.
-func prefixHashes(s *Script) []string {
-	out := make([]string, len(s.Steps))
-	prev := fmt.Sprintf("seed:%d", s.Seed)
-	for i, st := range s.Steps {
-		prev = fmt.Sprintf("%s|%s:%d:%v:%v:%d:%g", prev, st.Op, st.Cell, st.Cells, st.Pins, st.Net, st.Factor)
-		out[i] = prev
-	}
-	return out
 }
 
 // startSpan begins a step span: a child of parent when one was supplied, a

@@ -9,16 +9,16 @@ import (
 	"cirstag/internal/circuit"
 	"cirstag/internal/core"
 	"cirstag/internal/mat"
+	"cirstag/internal/perturb"
 )
 
 // featPredictor is a cheap deterministic Predictor for tests: the output
 // matrix is the design's raw feature matrix, which responds to every script
 // operation (cap scaling moves the cap column, rewiring moves fanout/depth)
-// without the cost of training a GNN. Stateless, so Fork returns the receiver.
+// without the cost of training a GNN.
 type featPredictor struct{}
 
 func (featPredictor) Outputs(nl *circuit.Netlist) (*mat.Dense, error) { return nl.Features(), nil }
-func (p featPredictor) Fork() Predictor                               { return p }
 
 func testDesign(t testing.TB) *circuit.Netlist {
 	t.Helper()
@@ -158,26 +158,17 @@ func TestSequenceOracle(t *testing.T) {
 	opts := testOptions()
 	pred := featPredictor{}
 
-	// Runner under test, capturing the per-step results via the in-package
-	// resume hook (exactly the code path Run executes).
-	y0, err := pred.Outputs(nl)
+	// Runner under test, with its per-step results recovered by a verified
+	// replay of the same chain.
+	res, err := Run(nl, script, pred, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := core.Input{Graph: nl.PinGraph(), Output: y0, Features: nl.Features()}
-	base, err := core.NewBaseline(in, opts.Core)
-	if err != nil {
-		t.Fatal(err)
+	if len(res.Steps) != len(script.Steps) {
+		t.Fatalf("got %d step reports, want %d", len(res.Steps), len(script.Steps))
 	}
-	var stepResults []*core.Result
-	res, err := resume(&snapshot{nl: nl, base: base}, script, 0, pred, opts,
-		func(i int, s *snapshot) { stepResults = append(stepResults, s.base.Result.Clone()) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Steps) != len(script.Steps) || len(stepResults) != len(script.Steps) {
-		t.Fatalf("got %d step reports, %d captured results, want %d", len(res.Steps), len(stepResults), len(script.Steps))
-	}
+	stepResults := replaySteps(t, nl, script, pred, opts, res)
+	in := core.Input{Graph: nl.PinGraph(), Features: nl.Features()}
 
 	// Oracle: replay the edits independently and score each step cold.
 	cur := nl
@@ -255,15 +246,7 @@ func TestSequenceDriftGuardBitIdentical(t *testing.T) {
 	opts.Inc = core.IncrementalOptions{RelTol: 1e-2, MaxDriftFrac: 1e-6}
 	pred := featPredictor{}
 
-	y0, _ := pred.Outputs(nl)
-	in := core.Input{Graph: nl.PinGraph(), Output: y0, Features: nl.Features()}
-	base, err := core.NewBaseline(in, opts.Core)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stepResults []*core.Result
-	res, err := resume(&snapshot{nl: nl, base: base}, script, 0, pred, opts,
-		func(i int, s *snapshot) { stepResults = append(stepResults, s.base.Result.Clone()) })
+	res, err := Run(nl, script, pred, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,20 +260,31 @@ func TestSequenceDriftGuardBitIdentical(t *testing.T) {
 	if drift < 0 {
 		t.Fatal("drift guard never tripped")
 	}
+	// Run returns only the last step's Result, so the drift step's Result is
+	// the Final of the same script cut after that step.
+	prefix := *script
+	prefix.Steps = script.Steps[:drift+1]
+	atDrift, err := Run(nl, &prefix, pred, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !atDrift.Steps[drift].DriftRebuild {
+		t.Fatalf("cut script did not drift-rebuild at step %d: %+v", drift, atDrift.Steps[drift])
+	}
 	// Cold-score the output at the drift step: must match bit for bit.
 	cur := nl
 	for i := 0; i <= drift; i++ {
 		cur = Apply(cur, script.Steps[i], stepRNG(script.Seed, i))
 	}
 	y, _ := pred.Outputs(cur)
-	cold, err := core.Run(core.Input{Graph: in.Graph, Output: y, Features: in.Features}, opts.Core)
+	cold, err := core.Run(core.Input{Graph: nl.PinGraph(), Output: y, Features: nl.Features()}, opts.Core)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for p := range cold.NodeScores {
-		if cold.NodeScores[p] != stepResults[drift].NodeScores[p] {
+		if cold.NodeScores[p] != atDrift.Final.NodeScores[p] {
 			t.Fatalf("drift rebuild at step %d: score[%d] = %g, cold %g — must be bit-identical",
-				drift, p, stepResults[drift].NodeScores[p], cold.NodeScores[p])
+				drift, p, atDrift.Final.NodeScores[p], cold.NodeScores[p])
 		}
 	}
 	t.Logf("drift guard tripped at step %d, rebuild bit-identical", drift)
@@ -322,53 +316,52 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunBatchMatchesIndividualRuns: a batch with shared prefixes returns, for
-// every script, exactly what a standalone Run of that script returns — the
-// prefix memoization must be invisible in the results.
-func TestRunBatchMatchesIndividualRuns(t *testing.T) {
-	nl := testDesign(t)
-	common := Example(nl, 4, 21)
-	mk := func(tail ...Step) *Script {
-		s := &Script{Schema: SchemaVersion, Seed: common.Seed}
-		s.Steps = append(append([]Step{}, common.Steps...), tail...)
-		return s
-	}
-	g1, g2 := gateCell(nl), -1
-	for _, c := range nl.Cells {
-		if c.Type != circuit.PortIn && c.Type != circuit.PortOut && c.ID != g1 {
-			g2 = c.ID
-			break
-		}
-	}
-	scripts := []*Script{
-		mk(Step{Op: OpResize, Cell: g1, Factor: 2}),
-		mk(Step{Op: OpResize, Cell: g2, Factor: 3}),
-		mk(Step{Op: OpMerge, Cells: []int{g1, g2}}),
-	}
-	batch, err := RunBatch(nl, scripts, featPredictor{}, testOptions())
+// replaySteps re-drives the chain Run executes — one baseline, then per step
+// Apply, inference, RunIncremental and Advance — and returns each step's
+// Result, which Run does not expose. The replay must reproduce Run's step
+// reports and final scores bit for bit, so the returned results are the ones
+// the runner scored.
+func replaySteps(t *testing.T, nl *circuit.Netlist, script *Script, pred Predictor, opts Options, run *Result) []*core.Result {
+	t.Helper()
+	y0, err := pred.Outputs(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for si, s := range scripts {
-		solo, err := Run(nl, s, featPredictor{}, testOptions())
+	base, err := core.NewBaseline(core.Input{Graph: nl.PinGraph(), Output: y0, Features: nl.Features()}, opts.Core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exclude := perturb.PrimaryOutputPinSet(nl)
+	out := make([]*core.Result, len(script.Steps))
+	cur := nl
+	for i, st := range script.Steps {
+		cur = Apply(cur, st, stepRNG(script.Seed, i))
+		y, err := pred.Outputs(cur)
 		if err != nil {
-			t.Fatalf("script %d: %v", si, err)
+			t.Fatal(err)
 		}
-		if len(batch[si].Steps) != len(solo.Steps) {
-			t.Fatalf("script %d: %d batch steps vs %d solo", si, len(batch[si].Steps), len(solo.Steps))
+		res, info, err := base.RunIncremental(y, opts.Inc)
+		if err != nil {
+			t.Fatalf("replay step %d: %v", i, err)
 		}
-		for i := range solo.Steps {
-			x, y := batch[si].Steps[i], solo.Steps[i]
-			if x.ChangedNodes != y.ChangedNodes || x.Path() != y.Path() || x.TopNode != y.TopNode || x.TopScore != y.TopScore {
-				t.Fatalf("script %d step %d diverged: %+v vs %+v", si, i, x, y)
-			}
+		if err := base.Advance(y, res, info); err != nil {
+			t.Fatalf("replay step %d advance: %v", i, err)
 		}
-		for p := range solo.Final.NodeScores {
-			if batch[si].Final.NodeScores[p] != solo.Final.NodeScores[p] {
-				t.Fatalf("script %d: final score[%d] diverged", si, p)
-			}
+		rank := core.Rank(res.NodeScores, exclude)
+		rep := run.Steps[i]
+		if len(info.ChangedNodes) != rep.ChangedNodes || info.ReusedBaseline != rep.ReusedBaseline ||
+			info.FullRebuild != rep.FullRebuild || info.DriftRebuild != rep.DriftRebuild ||
+			rank.Order[0] != rep.TopNode || rank.Scores[0] != rep.TopScore {
+			t.Fatalf("replay step %d diverged from Run's report %+v", i, rep)
+		}
+		out[i] = res
+	}
+	for p, sc := range run.Final.NodeScores {
+		if sc != base.Result.NodeScores[p] {
+			t.Fatalf("replay final score[%d] = %g, Run %g", p, base.Result.NodeScores[p], sc)
 		}
 	}
+	return out
 }
 
 func pearson(a, b mat.Vec) float64 {

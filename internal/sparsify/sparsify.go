@@ -29,10 +29,6 @@ type Options struct {
 	// is always kept, so the effective budget is max(TargetEdges, n−1).
 	// Zero selects 2·(n−1) (about average degree 4).
 	TargetEdges int
-	// ResistanceThreshold bounds the LRD cycle resistance: off-tree edges
-	// whose fundamental-cycle resistance exceeds the threshold are treated
-	// as spectrally critical and kept regardless of budget. Zero disables.
-	ResistanceThreshold float64
 	// UseTreeResistance, when true, approximates each off-tree edge's
 	// effective resistance by its tree-path resistance (an upper bound that
 	// avoids Laplacian solves). When false the caller supplies resistances.
@@ -109,7 +105,6 @@ func Sparsify(g *graph.Graph, reff []float64, rng *rand.Rand, opts Options) *Res
 	if reff == nil || opts.UseTreeResistance {
 		tp = NewTreePaths(g, tree)
 	}
-	cycleRes := make([]float64, m) // fundamental-cycle resistance of off-tree edges
 	for id, e := range edges {
 		var r float64
 		switch {
@@ -118,8 +113,7 @@ func Sparsify(g *graph.Graph, reff []float64, rng *rand.Rand, opts Options) *Res
 		case inTree[id]:
 			r = 1 / e.W // tree edges: path resistance is the edge itself
 		default:
-			// Tree-path resistance is an upper bound on Reff; combined with
-			// the edge in parallel it gives the LRD cycle resistance.
+			// Tree-path resistance is an upper bound on Reff.
 			ptr := tp.PathResistance(e.U, e.V)
 			if ptr < 0 {
 				ptr = 1 / e.W
@@ -127,20 +121,8 @@ func Sparsify(g *graph.Graph, reff []float64, rng *rand.Rand, opts Options) *Res
 			r = ptr
 		}
 		eta[id] = e.W * r
-		if !inTree[id] {
-			// Cycle resistance: edge resistance + tree path resistance.
-			var ptr float64
-			if tp != nil {
-				ptr = tp.PathResistance(e.U, e.V)
-				if ptr < 0 {
-					ptr = 0
-				}
-			}
-			cycleRes[id] = 1/e.W + ptr
-		}
 	}
-	// Rank off-tree edges by descending η; keep the top ones within budget,
-	// plus any whose LRD cycle resistance exceeds the threshold.
+	// Rank off-tree edges by descending η; keep the top ones within budget.
 	offTree := make([]int, 0, m)
 	for id := range edges {
 		if !inTree[id] {
@@ -153,13 +135,9 @@ func Sparsify(g *graph.Graph, reff []float64, rng *rand.Rand, opts Options) *Res
 		}
 		return offTree[a] < offTree[b]
 	})
-	budget := opts.TargetEdges - len(tree)
 	kept := append([]int(nil), tree...)
-	for rank, id := range offTree {
-		critical := opts.ResistanceThreshold > 0 && cycleRes[id] > opts.ResistanceThreshold
-		if rank < budget || critical {
-			kept = append(kept, id)
-		}
+	if budget := opts.TargetEdges - len(tree); budget > 0 {
+		kept = append(kept, offTree[:min(budget, len(offTree))]...)
 	}
 	sort.Ints(kept)
 	out := graph.New(n)

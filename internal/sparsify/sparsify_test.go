@@ -206,24 +206,6 @@ func TestSparsifyWithExactResistances(t *testing.T) {
 	}
 }
 
-func TestSparsifyResistanceThresholdKeepsCriticalEdges(t *testing.T) {
-	// A long cycle: the chord closing it has huge cycle resistance and must
-	// be kept even with a tree-only budget when the threshold is small.
-	n := 20
-	g := graph.New(n)
-	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1, 1)
-	}
-	g.AddEdge(0, n-1, 1) // closes the cycle
-	rng := rand.New(rand.NewSource(88))
-	res := Sparsify(g, nil, rng, Options{TargetEdges: n - 1, UseTreeResistance: true, ResistanceThreshold: 5})
-	// Budget allows only the tree, but the off-tree chord has cycle
-	// resistance ~n > 5, so it must be kept.
-	if res.Graph.M() != n {
-		t.Fatalf("critical chord dropped: M=%d want %d", res.Graph.M(), n)
-	}
-}
-
 func TestUnionFind(t *testing.T) {
 	u := newUnionFind(5)
 	if !u.union(0, 1) || !u.union(1, 2) {

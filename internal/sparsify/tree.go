@@ -1,9 +1,8 @@
 // Package sparsify implements the Phase-2 graph-reduction machinery of
 // CirSTAG: spanning-tree extraction (maximum-weight and low-stretch
-// shortest-path trees), a low-resistance-diameter (LRD) cycle decomposition
-// for weighted graphs, and spectral sparsification that prunes off-tree edges
-// with small spectral distortion η = w·R_eff (paper eq. 8) while preserving
-// connectivity.
+// shortest-path trees), tree-path resistance queries, and spectral
+// sparsification that prunes off-tree edges with small spectral distortion
+// η = w·R_eff (paper eq. 8) while preserving connectivity.
 package sparsify
 
 import (

@@ -43,7 +43,10 @@ import (
 // v2: Phase-2 sparsification ranks edges by sketched effective resistances
 // above a node threshold, so cached manifold bytes for large inputs differ
 // from v1 even with identical options and seed.
-const SchemaVersion = "cirstag.cache/v2"
+//
+// v3: kNN distance ties break by (d², id) instead of by tree traversal order,
+// so cached manifold bytes differ from v2 under identical keys.
+const SchemaVersion = "cirstag.cache/v3"
 
 // magic marks a CirSTAG artifact file; 8 bytes so headers stay aligned.
 var magic = [8]byte{'C', 'S', 'T', 'G', 'A', 'R', 'T', '\n'}

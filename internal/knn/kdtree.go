@@ -1,11 +1,13 @@
 // Package knn builds k-nearest-neighbor graphs over embeddings, the first
 // step of CirSTAG's Phase-2 manifold construction. Neighbor search uses an
-// exact k-d tree, which prunes well only in few dimensions. On the
-// pipeline's 37-column input embedding (16 spectral + 21 feature columns) a
-// query examines nearly every point: on i2c (6,847 pins) an input-manifold
-// query examines about 6,820 points, and the queries of both manifold builds
-// 3,433 on average. The input build is then close to O(n²·d), not
-// O(n log n); the knn.query_fanout histogram records the fanout.
+// exact k-d tree that splits each node on its widest axis, and neighbors are
+// ordered by (d², id), so a distance tie goes to the lower id whatever shape
+// the tree has. A k-d tree prunes well only in few dimensions. On the
+// pipeline's 37-column input embedding (16 spectral + 21 feature columns) an
+// input-manifold query examines on average 2,524 of 6,847 points on i2c and
+// 3,546 of 10,710 on pci_spoci (seed 1), about a third of n, so the input
+// build is still closer to O(n²·d) than to O(n log n). The knn.query_fanout
+// histogram records the fanout.
 package knn
 
 import (
@@ -34,38 +36,70 @@ var (
 type KDTree struct {
 	pts      *mat.Dense
 	idx      []int // point indices in tree order
+	axis     []int // split axis of the node whose median sits at this slot
 	dims     int
 	maxDepth int
 }
 
 // kdNode ranges are encoded implicitly: the tree is stored as a median-split
-// ordering of idx, with node boundaries recomputed during descent. This keeps
-// the structure allocation-free beyond the index slice.
+// ordering of idx, with node boundaries recomputed during descent. A node's
+// split axis is stored at its median slot, so the structure needs nothing
+// beyond the two index slices.
 
 // NewKDTree builds a k-d tree over the rows of pts.
 func NewKDTree(pts *mat.Dense) *KDTree {
-	t := &KDTree{pts: pts, idx: make([]int, pts.Rows), dims: pts.Cols}
+	t := &KDTree{pts: pts, idx: make([]int, pts.Rows), axis: make([]int, pts.Rows), dims: pts.Cols}
 	for i := range t.idx {
 		t.idx[i] = i
 	}
-	t.build(0, pts.Rows, 0)
+	t.build(0, pts.Rows, 0, make([]float64, 2*pts.Cols))
 	treesBuilt.Inc()
 	treeDepthGauge.Set(float64(t.maxDepth))
 	return t
 }
 
-func (t *KDTree) build(lo, hi, depth int) {
+// build splits each node on its widest axis rather than cycling through the
+// axes: on embeddings whose columns differ widely in spread (0/1 feature
+// flags beside continuous spectral columns), a cyclic split lands on axes
+// that separate nothing and the tree cannot prune. bounds is a buffer that
+// widestAxis reuses at every node.
+func (t *KDTree) build(lo, hi, depth int, bounds []float64) {
 	if depth > t.maxDepth {
 		t.maxDepth = depth
 	}
 	if hi-lo <= 1 {
 		return
 	}
-	axis := depth % t.dims
+	axis := t.widestAxis(lo, hi, bounds)
 	mid := (lo + hi) / 2
 	t.nthElement(lo, hi, mid, axis)
-	t.build(lo, mid, depth+1)
-	t.build(mid+1, hi, depth+1)
+	t.axis[mid] = axis
+	t.build(lo, mid, depth+1, bounds)
+	t.build(mid+1, hi, depth+1, bounds)
+}
+
+// widestAxis returns the axis with the largest spread (max − min) over the
+// points idx[lo:hi], the lowest such axis on ties.
+func (t *KDTree) widestAxis(lo, hi int, bounds []float64) int {
+	mn, mx := bounds[:t.dims], bounds[t.dims:]
+	copy(mn, t.pts.Row(t.idx[lo]))
+	copy(mx, mn)
+	for _, p := range t.idx[lo+1 : hi] {
+		for a, x := range t.pts.Row(p) {
+			if x < mn[a] {
+				mn[a] = x
+			} else if x > mx[a] {
+				mx[a] = x
+			}
+		}
+	}
+	best, spread := 0, mx[0]-mn[0]
+	for a := 1; a < t.dims; a++ {
+		if s := mx[a] - mn[a]; s > spread {
+			best, spread = a, s
+		}
+	}
+	return best
 }
 
 // nthElement partially sorts idx[lo:hi] so that idx[n] holds the element of
@@ -131,10 +165,18 @@ type Neighbor struct {
 	Dist2 float64
 }
 
+// before orders neighbors by (d², id): nearer first, the lower id on a
+// distance tie. It is a total order on the points of one query, so the k
+// nearest are one set whatever order the search visits the points in.
+func (a Neighbor) before(b Neighbor) bool {
+	return a.Dist2 < b.Dist2 || (a.Dist2 == b.Dist2 && a.ID < b.ID)
+}
+
+// maxHeap keeps the worst of the current k neighbors at its root.
 type maxHeap []Neighbor
 
 func (h maxHeap) Len() int            { return len(h) }
-func (h maxHeap) Less(i, j int) bool  { return h[i].Dist2 > h[j].Dist2 }
+func (h maxHeap) Less(i, j int) bool  { return h[j].before(h[i]) }
 func (h maxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *maxHeap) Push(x interface{}) { *h = append(*h, x.(Neighbor)) }
 func (h *maxHeap) Pop() interface{} {
@@ -146,14 +188,15 @@ func (h *maxHeap) Pop() interface{} {
 }
 
 // Query returns the k nearest neighbors of the query point q (excluding any
-// point at index skip; pass -1 to keep all), sorted by ascending distance.
+// point at index skip; pass -1 to keep all): the k smallest (d², id) pairs,
+// sorted ascending, so a distance tie goes to the lower id.
 func (t *KDTree) Query(q mat.Vec, k, skip int) []Neighbor {
 	if len(q) != t.dims {
 		panic(fmt.Sprintf("knn: query dim %d, tree dim %d", len(q), t.dims))
 	}
 	h := make(maxHeap, 0, k+1)
 	var visited int
-	t.search(0, len(t.idx), 0, q, k, skip, &h, &visited)
+	t.search(0, len(t.idx), q, k, skip, &h, &visited)
 	queriesRun.Inc()
 	queryFanout.Observe(float64(visited))
 	out := make([]Neighbor, len(h))
@@ -163,7 +206,7 @@ func (t *KDTree) Query(q mat.Vec, k, skip int) []Neighbor {
 	return out
 }
 
-func (t *KDTree) search(lo, hi, depth int, q mat.Vec, k, skip int, h *maxHeap, visited *int) {
+func (t *KDTree) search(lo, hi int, q mat.Vec, k, skip int, h *maxHeap, visited *int) {
 	if hi <= lo {
 		return
 	}
@@ -171,8 +214,8 @@ func (t *KDTree) search(lo, hi, depth int, q mat.Vec, k, skip int, h *maxHeap, v
 		t.consider(t.idx[lo], q, k, skip, h, visited)
 		return
 	}
-	axis := depth % t.dims
 	mid := (lo + hi) / 2
+	axis := t.axis[mid]
 	p := t.idx[mid]
 	t.consider(p, q, k, skip, h, visited)
 	diff := q[axis] - t.pts.At(p, axis)
@@ -184,11 +227,12 @@ func (t *KDTree) search(lo, hi, depth int, q mat.Vec, k, skip int, h *maxHeap, v
 		near = [2]int{mid + 1, hi}
 		far = [2]int{lo, mid}
 	}
-	t.search(near[0], near[1], depth+1, q, k, skip, h, visited)
+	t.search(near[0], near[1], q, k, skip, h, visited)
 	// Prune the far side when the splitting plane is beyond the current kth
-	// distance.
+	// distance. A far point exactly at the kth distance can still win on id,
+	// hence <=.
 	if len(*h) < k || diff*diff <= (*h)[0].Dist2 {
-		t.search(far[0], far[1], depth+1, q, k, skip, h, visited)
+		t.search(far[0], far[1], q, k, skip, h, visited)
 	}
 }
 
@@ -203,16 +247,17 @@ func (t *KDTree) consider(p int, q mat.Vec, k, skip int, h *maxHeap, visited *in
 		d := x - row[i]
 		d2 += d * d
 	}
+	nb := Neighbor{ID: p, Dist2: d2}
 	if len(*h) < k {
-		heap.Push(h, Neighbor{ID: p, Dist2: d2})
-	} else if d2 < (*h)[0].Dist2 {
-		(*h)[0] = Neighbor{ID: p, Dist2: d2}
+		heap.Push(h, nb)
+	} else if nb.before((*h)[0]) {
+		(*h)[0] = nb
 		heap.Fix(h, 0)
 	}
 }
 
-// BruteForce returns the k nearest neighbors of row i by exhaustive scan;
-// used as a test oracle and for very small inputs.
+// BruteForce returns the k nearest neighbors of row i by exhaustive scan, in
+// Query's (d², id) order; used as a test oracle and for very small inputs.
 func BruteForce(pts *mat.Dense, i, k int) []Neighbor {
 	q := pts.Row(i)
 	all := make([]Neighbor, 0, pts.Rows-1)
@@ -228,7 +273,7 @@ func BruteForce(pts *mat.Dense, i, k int) []Neighbor {
 		}
 		all = append(all, Neighbor{ID: j, Dist2: d2})
 	}
-	sort.Slice(all, func(a, b int) bool { return all[a].Dist2 < all[b].Dist2 })
+	sort.Slice(all, func(a, b int) bool { return all[a].before(all[b]) })
 	if k > len(all) {
 		k = len(all)
 	}
@@ -258,7 +303,6 @@ type directedEdge struct {
 type WeightedEdge struct {
 	U, V int
 	W    float64
-	D2   float64 // squared Euclidean distance in the embedding
 }
 
 // BuildGraph constructs the kNN graph of the rows of pts. The per-point tree
@@ -278,6 +322,13 @@ func BuildGraph(pts *mat.Dense, k int) *Graph {
 	nbrs := parallel.Map(n, 0, func(i int) []Neighbor {
 		return tree.Query(pts.Row(i), k, i)
 	})
+	return mergeNeighbors(nbrs, k)
+}
+
+// mergeNeighbors turns per-point lists of at most k neighbors (nbrs[i] for
+// point i) into the weighted kNN graph.
+func mergeNeighbors(nbrs [][]Neighbor, k int) *Graph {
+	n := len(nbrs)
 	// Deterministic merge: normalize every directed hit to U < V, sort, and
 	// collapse duplicates. A mutual edge is discovered from both endpoints
 	// with the same d² (the squared-difference sum is symmetric), but the
@@ -338,7 +389,7 @@ func BuildGraph(pts *mat.Dense, k int) *Graph {
 		if dd < floor {
 			dd = floor
 		}
-		g.Edges[i] = WeightedEdge{U: e.u, V: e.v, W: 1 / dd, D2: e.d2}
+		g.Edges[i] = WeightedEdge{U: e.u, V: e.v, W: 1 / dd}
 	}
 	return g
 }

@@ -5,8 +5,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"cirstag/internal/circuit"
+	"cirstag/internal/embed"
 	"cirstag/internal/graph"
 	"cirstag/internal/mat"
+	"cirstag/internal/obs"
+	"cirstag/internal/parallel"
 )
 
 func randPoints(rng *rand.Rand, n, d int) *mat.Dense {
@@ -113,8 +117,13 @@ func TestBuildGraphBasicInvariants(t *testing.T) {
 		if e.W <= 0 {
 			t.Fatal("non-positive weight")
 		}
-		// w = 1/d² convention.
-		want := 1 / math.Max(e.D2, 1e-12)
+		// w = 1/d² convention, d² recomputed from the points.
+		var d2 float64
+		for c, x := range pts.Row(e.U) {
+			d := x - pts.At(e.V, c)
+			d2 += d * d
+		}
+		want := 1 / math.Max(d2, 1e-12)
 		if math.Abs(e.W-want) > 1e-9*want {
 			t.Fatal("weight does not follow 1/d²")
 		}
@@ -184,5 +193,90 @@ func TestBuildGraphKClamp(t *testing.T) {
 	g := BuildGraph(pts, 50) // clamps to n-1=4: complete graph
 	if len(g.Edges) != 10 {
 		t.Fatalf("expected complete graph with 10 edges, got %d", len(g.Edges))
+	}
+}
+
+// latticePoints places n points on a small integer lattice with 0/1 columns
+// and every fourth row a duplicate of the row before it, so nearly every
+// distance ties and the tie order alone decides which point is the kth
+// neighbor.
+func latticePoints(rng *rand.Rand, n int) *mat.Dense {
+	pts := mat.NewDense(n, 5)
+	for i := 0; i < n; i++ {
+		if i%4 == 3 {
+			copy(pts.Row(i), pts.Row(i-1))
+			continue
+		}
+		pts.Set(i, 0, float64(rng.Intn(4)))
+		pts.Set(i, 1, float64(rng.Intn(3)))
+		pts.Set(i, 2, float64(rng.Intn(2)))
+		pts.Set(i, 3, float64(rng.Intn(2)))
+		pts.Set(i, 4, float64(rng.Intn(2)))
+	}
+	return pts
+}
+
+// TestQueryTieOrderMatchesBruteForce: with distance ties everywhere, Query
+// must still return exactly the k smallest (d², id) pairs, the ids and d²
+// bits BruteForce returns, and BuildGraph must equal the graph merged from
+// BruteForce's lists.
+func TestQueryTieOrderMatchesBruteForce(t *testing.T) {
+	pts := latticePoints(rand.New(rand.NewSource(79)), 240)
+	tree := NewKDTree(pts)
+	for _, k := range []int{1, 5, 10} {
+		oracle := make([][]Neighbor, pts.Rows)
+		for i := range oracle {
+			oracle[i] = BruteForce(pts, i, k)
+			got := tree.Query(pts.Row(i), k, i)
+			if len(got) != len(oracle[i]) {
+				t.Fatalf("k=%d point %d: %d neighbors, want %d", k, i, len(got), len(oracle[i]))
+			}
+			for j, nb := range got {
+				want := oracle[i][j]
+				if nb.ID != want.ID || math.Float64bits(nb.Dist2) != math.Float64bits(want.Dist2) {
+					t.Fatalf("k=%d point %d neighbor %d: got %+v, want %+v", k, i, j, nb, want)
+				}
+			}
+		}
+		got, want := BuildGraph(pts, k), mergeNeighbors(oracle, k)
+		if len(got.Edges) != len(want.Edges) {
+			t.Fatalf("k=%d: BuildGraph has %d edges, oracle graph %d", k, len(got.Edges), len(want.Edges))
+		}
+		for i, e := range got.Edges {
+			w := want.Edges[i]
+			if e.U != w.U || e.V != w.V || math.Float64bits(e.W) != math.Float64bits(w.W) {
+				t.Fatalf("k=%d edge %d: got %+v, oracle %+v", k, i, e, w)
+			}
+		}
+	}
+}
+
+// TestInputManifoldFanout guards the k-d tree's pruning on the pipeline's
+// own input embedding: sasc at seed 1, the 16 spectral columns plus the 21
+// standardized features at α = 1, as core.Run builds it. The mean number of
+// points a query examines is a count, so it repeats exactly: 1,413 of the
+// 3,037 points with widest-axis splits, 3,031 with splits on depth % dims.
+func TestInputManifoldFanout(t *testing.T) {
+	const maxMeanFanout = 1600
+	nl, err := circuit.BenchmarkByName("sasc", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := embed.Spectral(nl.PinGraph(), parallel.NewRNG(1, 0), embed.Options{Dims: 16})
+	emb := embed.FeatureAugmented(sp.U, nl.Features(), 1)
+
+	obs.Reset()
+	obs.Enable()
+	defer func() {
+		obs.Disable()
+		obs.Reset()
+	}()
+	BuildGraph(emb, 10)
+	h := obs.Snapshot().Histograms["knn.query_fanout"]
+	if h.Count != int64(emb.Rows) {
+		t.Fatalf("%d queries recorded, want %d", h.Count, emb.Rows)
+	}
+	if h.Mean > maxMeanFanout {
+		t.Fatalf("a query examines %.1f of %d points on average, want at most %d", h.Mean, emb.Rows, maxMeanFanout)
 	}
 }

@@ -74,9 +74,7 @@ func TestBuildGraphWorkerCountEquivalence(t *testing.T) {
 		}
 		for i := range ref.Edges {
 			a, b := got.Edges[i], ref.Edges[i]
-			if a.U != b.U || a.V != b.V ||
-				math.Float64bits(a.W) != math.Float64bits(b.W) ||
-				math.Float64bits(a.D2) != math.Float64bits(b.D2) {
+			if a.U != b.U || a.V != b.V || math.Float64bits(a.W) != math.Float64bits(b.W) {
 				t.Fatalf("workers=%d: edge %d = %+v, serial gave %+v", workers, i, a, b)
 			}
 		}

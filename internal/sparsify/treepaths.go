@@ -132,6 +132,3 @@ func (tp *TreePaths) PathResistance(u, v int) float64 {
 	}
 	return tp.resUp[u] + tp.resUp[v] - 2*tp.resUp[a]
 }
-
-// Depth returns the depth of v within its component's rooted tree.
-func (tp *TreePaths) Depth(v int) int { return tp.depth[v] }

@@ -61,30 +61,8 @@ func (p *JacobiPrec) PrecondBlockTo(z, r *mat.Dense, cols []int) {
 	})
 }
 
-// PrecondBlockTo runs the two-pass tree solve on each selected column
-// concurrently: PrecondTo allocates its own per-call scratch, so per-column
-// applications are independent and bit-identical to the serial path.
-func (t *TreePrec) PrecondBlockTo(z, r *mat.Dense, cols []int) {
-	n := t.n
-	parallel.ForEach(len(cols), 1, func(c int) {
-		j := cols[c]
-		rj := make(mat.Vec, n)
-		zj := make(mat.Vec, n)
-		copyColOut(rj, r, j)
-		t.PrecondTo(zj, rj)
-		copyColIn(z, j, zj)
-	})
-}
-
 // PrecondBlockTo copies the selected columns (identity preconditioning).
-func (IdentityPrec) PrecondBlockTo(z, r *mat.Dense, cols []int) {
-	w := r.Cols
-	for i := 0; i < r.Rows; i++ {
-		for _, j := range cols {
-			z.Data[i*w+j] = r.Data[i*w+j]
-		}
-	}
-}
+func (IdentityPrec) PrecondBlockTo(z, r *mat.Dense, cols []int) { copyCols(z, r, cols) }
 
 func precondBlock(m Preconditioner, z, r *mat.Dense, cols []int) {
 	if bm, ok := m.(BlockPreconditioner); ok {
@@ -131,39 +109,88 @@ func copyColIn(m *mat.Dense, j int, src mat.Vec) {
 	}
 }
 
-// colNorm2 mirrors mat.Norm2 on column j of m: the same overflow-guarded
-// scaling loop in the same element order, so the result is bitwise equal to
-// Norm2 of the extracted column.
-func colNorm2(m *mat.Dense, j int) float64 {
-	var scale, ssq float64
-	ssq = 1
-	w := m.Cols
-	for i := 0; i < m.Rows; i++ {
-		x := m.Data[i*w+j]
-		if x == 0 {
-			continue
-		}
-		ax := math.Abs(x)
-		if scale < ax {
-			r := scale / ax
-			ssq = 1 + ssq*r*r
-			scale = ax
-		} else {
-			r := ax / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
+// colGroup is the width of the column groups that the block reductions,
+// copies and tree solves work on: each group is one task on the worker pool
+// and one row-major pass over the block, so a row's group entries share
+// cache lines instead of each column striding through memory on its own.
+// The width is a constant, so group boundaries depend only on len(cols),
+// never on the worker count.
+const colGroup = 8
+
+// forColGroups runs fn on consecutive groups of at most colGroup entries of
+// cols, one group per task on the worker pool.
+func forColGroups(cols []int, fn func(g []int)) {
+	parallel.For(len(cols), colGroup, func(lo, hi int) { fn(cols[lo:hi]) })
 }
 
-// colDot mirrors mat.Dot on column j of a and b (ascending row order).
-func colDot(a, b *mat.Dense, j int) float64 {
-	var s float64
+// colNorms sets out[j] to mat.Norm2 of column j of m for every j in cols:
+// the same overflow-guarded scaling in the same element order (ascending
+// row), so each result is bitwise equal to Norm2 of the extracted column.
+func colNorms(out []float64, m *mat.Dense, cols []int) {
+	w := m.Cols
+	forColGroups(cols, func(g []int) {
+		var scale, ssq [colGroup]float64
+		for c := range g {
+			ssq[c] = 1
+		}
+		for i := 0; i < m.Rows; i++ {
+			row := m.Data[i*w : (i+1)*w]
+			for c, j := range g {
+				x := row[j]
+				if x == 0 {
+					continue
+				}
+				ax := math.Abs(x)
+				if scale[c] < ax {
+					r := scale[c] / ax
+					ssq[c] = 1 + ssq[c]*r*r
+					scale[c] = ax
+				} else {
+					r := ax / scale[c]
+					ssq[c] += r * r
+				}
+			}
+		}
+		for c, j := range g {
+			out[j] = scale[c] * math.Sqrt(ssq[c])
+		}
+	})
+}
+
+// colDots sets out[j] to mat.Dot of column j of a and b for every j in cols,
+// summing in Dot's ascending row order.
+func colDots(out []float64, a, b *mat.Dense, cols []int) {
 	w := a.Cols
-	for i := 0; i < a.Rows; i++ {
-		s += a.Data[i*w+j] * b.Data[i*w+j]
+	forColGroups(cols, func(g []int) {
+		var s [colGroup]float64
+		for i := 0; i < a.Rows; i++ {
+			arow := a.Data[i*w : (i+1)*w]
+			brow := b.Data[i*w : (i+1)*w]
+			for c, j := range g {
+				s[c] += arow[j] * brow[j]
+			}
+		}
+		for c, j := range g {
+			out[j] = s[c]
+		}
+	})
+}
+
+// copyCols copies the selected columns of src into dst (same shape).
+func copyCols(dst, src *mat.Dense, cols []int) {
+	if len(cols) == 0 {
+		return
 	}
-	return s
+	w := src.Cols
+	parallel.For(src.Rows, 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			drow := dst.Data[i*w : (i+1)*w]
+			srow := src.Data[i*w : (i+1)*w]
+			for _, j := range cols {
+				drow[j] = srow[j]
+			}
+		}
+	})
 }
 
 // colStatus tracks one right-hand side through the blocked iteration.
@@ -198,6 +225,10 @@ func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat
 	// exercise the block solver identically.
 	opts.MaxIter = faultinject.Int(faultinject.PointPCGMaxIter, opts.MaxIter)
 
+	all := make([]int, k)
+	for j := range all {
+		all[j] = j
+	}
 	x := mat.NewDense(n, k)
 	var r *mat.Dense
 	if x0 == nil {
@@ -205,10 +236,6 @@ func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat
 	} else {
 		copy(x.Data, x0.Data)
 		r = mat.NewDense(n, k)
-		all := make([]int, k)
-		for j := range all {
-			all[j] = j
-		}
 		applyBlock(a, r, x, all)
 		for i, bv := range b.Data {
 			r.Data[i] = bv - r.Data[i]
@@ -224,15 +251,16 @@ func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat
 	status := make([]colStatus, k)
 	bnorm := make([]float64, k)
 	rz := make([]float64, k)
+	rzNew := make([]float64, k)
 	bestRes := make([]float64, k)
 	resNow := make([]float64, k)
 	pap := make([]float64, k)
 	alpha := make([]float64, k)
 	beta := make([]float64, k)
 
+	colNorms(bnorm, b, all)
 	act := make([]int, 0, k)
-	for j := 0; j < k; j++ {
-		bnorm[j] = colNorm2(b, j)
+	for _, j := range all {
 		if bnorm[j] == 0 {
 			status[j] = colDone
 			results[j] = Result{Iterations: 0, Residual: 0}
@@ -242,12 +270,12 @@ func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat
 	}
 	if len(act) > 0 {
 		precondBlock(m, z, r, act)
-		parallel.ForEach(len(act), 1, func(c int) {
-			j := act[c]
-			copyPColumn(p, z, j) // p = z
-			rz[j] = colDot(r, z, j)
-			bestRes[j] = colNorm2(r, j) / bnorm[j]
-		})
+		copyCols(p, z, act)
+		colDots(rz, r, z, act)
+		colNorms(bestRes, r, act)
+		for _, j := range act {
+			bestRes[j] /= bnorm[j]
+		}
 	}
 
 	compact := func() {
@@ -260,19 +288,19 @@ func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat
 		act = out
 	}
 
+	// Columns whose best iterate or solution must be copied this round.
+	sel := make([]int, 0, k)
 	var it int
 	for it = 0; it < opts.MaxIter && len(act) > 0; it++ {
 		// Residual check (top of the scalar loop).
-		parallel.ForEach(len(act), 1, func(c int) {
-			j := act[c]
-			resNow[c] = colNorm2(r, j) / bnorm[j]
-		})
+		colNorms(resNow, r, act)
+		sel = sel[:0]
 		changed := false
-		for c, j := range act {
-			res := resNow[c]
+		for _, j := range act {
+			res := resNow[j] / bnorm[j]
 			if res < bestRes[j] {
 				bestRes[j] = res
-				copyColumn(best, x, j)
+				sel = append(sel, j)
 			}
 			if res <= opts.Tol {
 				// Converged: scalar PCG returns the current iterate x.
@@ -281,6 +309,7 @@ func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat
 				changed = true
 			}
 		}
+		copyCols(best, x, sel)
 		if changed {
 			compact()
 			if len(act) == 0 {
@@ -290,24 +319,21 @@ func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat
 
 		// ap = A·p, fused across the active columns.
 		applyBlock(a, ap, p, act)
-		parallel.ForEach(len(act), 1, func(c int) {
-			j := act[c]
-			pap[j] = colDot(p, ap, j)
-		})
-		changed = false
+		colDots(pap, p, ap, act)
+		sel = sel[:0]
 		for _, j := range act {
 			if pap[j] <= 0 || math.IsNaN(pap[j]) {
 				// Breakdown: scalar PCG returns the best iterate so far.
-				copyColumn(x, best, j)
+				sel = append(sel, j)
 				status[j] = colDone
 				results[j] = Result{Iterations: it, Residual: bestRes[j]}
 				errs[j] = ErrNoConvergence
-				changed = true
 				continue
 			}
 			alpha[j] = rz[j] / pap[j]
 		}
-		if changed {
+		if len(sel) > 0 {
+			copyCols(x, best, sel)
 			compact()
 			if len(act) == 0 {
 				break
@@ -329,12 +355,11 @@ func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat
 		})
 
 		precondBlock(m, z, r, act)
-		parallel.ForEach(len(act), 1, func(c int) {
-			j := act[c]
-			rzNew := colDot(r, z, j)
-			beta[j] = rzNew / rz[j]
-			rz[j] = rzNew
-		})
+		colDots(rzNew, r, z, act)
+		for _, j := range act {
+			beta[j] = rzNew[j] / rz[j]
+			rz[j] = rzNew[j]
+		}
 		// p = z + β·p, fused.
 		parallel.For(n, 0, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
@@ -347,32 +372,24 @@ func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat
 		})
 	}
 
-	// Budget exhausted: final residual check, return the best iterate.
+	// Budget exhausted: final residual check, return the best iterate. A
+	// column whose current iterate is its best already holds it in x.
+	colNorms(resNow, r, act)
+	sel = sel[:0]
 	for _, j := range act {
-		res := colNorm2(r, j) / bnorm[j]
-		if res < bestRes[j] {
+		if res := resNow[j] / bnorm[j]; res < bestRes[j] {
 			bestRes[j] = res
-			copyColumn(best, x, j)
+		} else {
+			sel = append(sel, j)
 		}
-		copyColumn(x, best, j)
 		results[j] = Result{Iterations: opts.MaxIter, Residual: bestRes[j]}
 		if bestRes[j] > opts.Tol {
 			errs[j] = ErrNoConvergence
 		}
 	}
+	copyCols(x, best, sel)
 	return x, results, errs
 }
-
-// copyColumn copies column j of src into dst (same shape).
-func copyColumn(dst, src *mat.Dense, j int) {
-	w := src.Cols
-	for i := 0; i < src.Rows; i++ {
-		dst.Data[i*w+j] = src.Data[i*w+j]
-	}
-}
-
-// copyPColumn is copyColumn under a name that reads as "initialize p from z".
-func copyPColumn(dst, src *mat.Dense, j int) { copyColumn(dst, src, j) }
 
 // maxBlockCols caps the width of one PCGBlockGuess tile inside
 // SolveBlockGuess: six n×w working blocks live at once, so an unbounded width

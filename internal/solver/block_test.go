@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"cirstag/internal/graph"
+	"cirstag/internal/knn"
 	"cirstag/internal/mat"
 	"cirstag/internal/parallel"
 )
@@ -249,5 +251,122 @@ func TestSolveBlockGuess(t *testing.T) {
 		if !bitsEqualCol(x, j, tile.Col(j)) {
 			t.Fatalf("exact guess column %d was modified", j)
 		}
+	}
+}
+
+// randomForestGraph joins random connected components of the given sizes on
+// consecutive node ranges; a size of 1 is an isolated node.
+func randomForestGraph(rng *rand.Rand, sizes ...int) *graph.Graph {
+	n := 0
+	for _, s := range sizes {
+		n += s
+	}
+	g := graph.New(n)
+	off := 0
+	for _, s := range sizes {
+		for _, e := range randomConnectedGraph(rng, s, 2*s).Edges() {
+			g.AddEdge(off+e.U, off+e.V, e.W)
+		}
+		off += s
+	}
+	return g
+}
+
+// The block tree solve walks the forest once per column group: every
+// selected column must equal PrecondTo bit for bit at any worker count, and
+// the other columns of z must stay untouched.
+func TestTreePrecBlockMatchesPrecondToOnForest(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	rng := rand.New(rand.NewSource(77))
+	g := randomForestGraph(rng, 30, 1, 17, 12)
+	n := g.N()
+	tp := NewTreePrecFromCSR(g.Laplacian())
+	for _, tc := range []struct {
+		width int
+		cols  []int
+	}{
+		{7, []int{0, 2, 5}},
+		{20, []int{0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 13, 15, 16, 17, 18, 19}}, // three groups
+	} {
+		r := randomRHS(rng, n, tc.width)
+		before := randomRHS(rng, n, tc.width)
+		for _, workers := range []int{1, 2, 4} {
+			parallel.SetWorkers(workers)
+			z := before.Clone()
+			tp.PrecondBlockTo(z, r, tc.cols)
+			selected := make(map[int]bool)
+			for _, j := range tc.cols {
+				selected[j] = true
+			}
+			for j := 0; j < tc.width; j++ {
+				want := before.Col(j)
+				if selected[j] {
+					want = make(mat.Vec, n)
+					tp.PrecondTo(want, r.Col(j))
+				}
+				if !bitsEqualCol(z, j, want) {
+					t.Fatalf("width %d, workers %d: column %d (selected %v) differs", tc.width, workers, j, selected[j])
+				}
+			}
+		}
+	}
+}
+
+// With the tree preconditioner on a disconnected graph, every column of the
+// block solve must equal scalar Solve bit for bit.
+func TestSolveBlockOnForestBitIdenticalToSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	g := randomForestGraph(rng, 30, 1, 17, 12)
+	s := NewLaplacian(g, Options{Tol: 1e-10, Precond: PrecondTree})
+	b := randomRHS(rng, g.N(), 7)
+	out, err := s.SolveBlockGuess(b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < b.Cols; j++ {
+		x, err := s.Solve(b.Col(j))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitsEqualCol(out, j, x) {
+			t.Fatalf("column %d differs from scalar Solve", j)
+		}
+	}
+}
+
+var blockSink *mat.Dense
+
+// BenchmarkSolveBlock measures the block PCG kernel in the shape of Phase 2's
+// ranking sketch, a layer cirbench cannot time on its own: 48 right-hand
+// sides Bᵀ W^{1/2} ξ with random signs ξ, on a 1/d² kNN manifold of 10k
+// nodes (k = 10 over Gaussian points in 8 dimensions), with the sketch's
+// budget of 150 iterations at tolerance 1e-4 and the tree preconditioner.
+func BenchmarkSolveBlock(b *testing.B) {
+	const n, q = 10000, 48
+	rng := rand.New(rand.NewSource(1))
+	pts := mat.NewDense(n, 8)
+	for i := range pts.Data {
+		pts.Data[i] = rng.NormFloat64()
+	}
+	g := graph.New(n)
+	for _, e := range knn.BuildGraph(pts, 10).Edges {
+		g.AddEdge(e.U, e.V, e.W)
+	}
+	s := NewLaplacian(g, Options{Tol: 1e-4, MaxIter: 150, Precond: PrecondTree})
+	rhs := mat.NewDense(n, q)
+	scale := 1 / math.Sqrt(q)
+	for r := 0; r < q; r++ {
+		for _, e := range g.Edges() {
+			c := scale * math.Sqrt(e.W)
+			if rng.Intn(2) == 0 {
+				c = -c
+			}
+			rhs.Data[e.U*q+r] += c
+			rhs.Data[e.V*q+r] -= c
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blockSink, _ = s.SolveBlockGuess(rhs, nil)
 	}
 }

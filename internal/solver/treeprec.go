@@ -156,3 +156,76 @@ func (t *TreePrec) PrecondTo(z, r mat.Vec) {
 		z[i] -= sums[t.comp[i]]
 	}
 }
+
+// PrecondBlockTo applies PrecondTo to the selected columns of r, walking the
+// tree once per group of colGroup columns instead of once per column. Each
+// column sees PrecondTo's operations in PrecondTo's order, so it is bitwise
+// equal to PrecondTo on that column. The flows accumulate in z's own
+// columns: the downward pass reads a node's flow from its slot just before
+// overwriting it with the node's potential, and its parent's slot already
+// holds the parent's potential. Columns of z outside cols are untouched.
+func (t *TreePrec) PrecondBlockTo(z, r *mat.Dense, cols []int) {
+	w := r.Cols
+	nc := len(t.sizes)
+	forColGroups(cols, func(g []int) {
+		gw := len(g)
+		// sums[c*gw+cc] is component c's mean of group column cc.
+		sums := make([]float64, nc*gw)
+		componentMeans := func(m *mat.Dense) {
+			clear(sums)
+			for i, c := range t.comp {
+				row, s := m.Data[i*w:(i+1)*w], sums[c*gw:(c+1)*gw]
+				for cc, j := range g {
+					s[cc] += row[j]
+				}
+			}
+			for c, size := range t.sizes {
+				s := sums[c*gw : (c+1)*gw]
+				for cc := range s {
+					s[cc] /= float64(size)
+				}
+			}
+		}
+		// Project the rhs; the flows start as the projected rhs.
+		componentMeans(r)
+		for i, c := range t.comp {
+			zrow, rrow, s := z.Data[i*w:(i+1)*w], r.Data[i*w:(i+1)*w], sums[c*gw:(c+1)*gw]
+			for cc, j := range g {
+				zrow[j] = rrow[j] - s[cc]
+			}
+		}
+		// Upward: flow to parent = own rhs + flows from children.
+		for i := t.n - 1; i >= 0; i-- {
+			u := t.order[i]
+			if p := t.parent[u]; p >= 0 {
+				zu, zp := z.Data[u*w:(u+1)*w], z.Data[p*w:(p+1)*w]
+				for _, j := range g {
+					zp[j] += zu[j]
+				}
+			}
+		}
+		// Downward: potentials from roots.
+		for _, u := range t.order {
+			zu := z.Data[u*w : (u+1)*w]
+			p := t.parent[u]
+			if p < 0 {
+				for _, j := range g {
+					zu[j] = 0
+				}
+				continue
+			}
+			zp, pw := z.Data[p*w:(p+1)*w], t.pw[u]
+			for _, j := range g {
+				zu[j] = zp[j] + zu[j]/pw
+			}
+		}
+		// Remove component means from the solution.
+		componentMeans(z)
+		for i, c := range t.comp {
+			zrow, s := z.Data[i*w:(i+1)*w], sums[c*gw:(c+1)*gw]
+			for cc, j := range g {
+				zrow[j] -= s[cc]
+			}
+		}
+	})
+}

@@ -6,7 +6,6 @@ import (
 
 	"cirstag/internal/circuit"
 	"cirstag/internal/core"
-	"cirstag/internal/mat"
 	"cirstag/internal/metrics"
 	"cirstag/internal/perturb"
 )
@@ -96,10 +95,6 @@ func RunDimsAblation(name string, seed int64, embedDims, scoreDims []int, tcfg C
 	}
 	return rows, nil
 }
-
-// ScoreVector exposes the node scores of one CirSTAG run for external
-// correlation studies (used by the ablation formatting).
-func ScoreVector(res *core.Result) mat.Vec { return res.NodeScores.Clone() }
 
 func maxInt(a, b int) int {
 	if a > b {

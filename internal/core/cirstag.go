@@ -386,15 +386,46 @@ func scorePhase(gx, gy *graph.Graph, n int, opts Options, rngEig *rand.Rand, roo
 		eigSpan.End()
 	}
 
-	// Weighted eigensubspace V_s = [v_i √ζ_i].
 	scoreSpan := root.Child("scoring")
 	defer scoreSpan.End()
-	vs := mat.NewDense(n, len(pairs))
 	eigenvalues := make(mat.Vec, len(pairs))
 	eigenvectors := make([]mat.Vec, len(pairs))
 	for j, p := range pairs {
 		eigenvalues[j] = p.Value
 		eigenvectors[j] = p.Vector
+	}
+	edgeScores, nodeScores := stabilityScores(gx, pairs)
+
+	// Degenerate-geometry gate: SAGMAN-style manifold collapse (coincident
+	// embeddings, rank-deficient Laplacians) can push NaN/±Inf through the
+	// eigensolve. Rather than average garbage into the eq.-9 rankings, refuse
+	// the run with a typed error.
+	if i := eigenvalues.FirstNonFinite(); i >= 0 {
+		degenerateRuns.Inc()
+		return nil, cirerr.New("core.score", cirerr.ErrDegenerateGeometry, "generalized eigenvalue %d is %v", i, eigenvalues[i])
+	}
+	if p := nodeScores.FirstNonFinite(); p >= 0 {
+		degenerateRuns.Inc()
+		return nil, cirerr.New("core.score", cirerr.ErrDegenerateGeometry, "stability score of node %d is %v", p, nodeScores[p])
+	}
+
+	return &Result{
+		NodeScores:     nodeScores,
+		EdgeScores:     edgeScores,
+		InputManifold:  gx,
+		OutputManifold: gy,
+		Eigenvalues:    eigenvalues,
+		Eigenvectors:   eigenvectors,
+	}, nil
+}
+
+// stabilityScores scores every edge (p,q) of the input manifold gx as
+// ‖V_sᵀ e_pq‖² over the weighted eigensubspace V_s = [v_i √ζ_i] of pairs, and
+// every node as the mean over its manifold neighbours (eq. 9).
+func stabilityScores(gx *graph.Graph, pairs []eig.GeneralizedPair) ([]EdgeScore, mat.Vec) {
+	n := gx.N()
+	vs := mat.NewDense(n, len(pairs))
+	for j, p := range pairs {
 		col := p.Vector.Clone()
 		w := p.Value
 		if w < 0 {
@@ -403,9 +434,6 @@ func scorePhase(gx, gy *graph.Graph, n int, opts Options, rngEig *rand.Rand, roo
 		mat.Scale(math.Sqrt(w), col)
 		vs.SetCol(j, col)
 	}
-
-	// Edge scores ‖V_sᵀ e_pq‖² on the input manifold, node scores as the
-	// neighbour mean (eq. 9).
 	edges := gx.Edges()
 	edgeScores := make([]EdgeScore, len(edges))
 	parallel.ForEach(len(edges), 0, func(i int) {
@@ -436,28 +464,7 @@ func scorePhase(gx, gy *graph.Graph, n int, opts Options, rngEig *rand.Rand, roo
 			nodeScores[p] = nodeSum[p] / float64(nodeCnt[p])
 		}
 	}
-
-	// Degenerate-geometry gate: SAGMAN-style manifold collapse (coincident
-	// embeddings, rank-deficient Laplacians) can push NaN/±Inf through the
-	// eigensolve. Rather than average garbage into the eq.-9 rankings, refuse
-	// the run with a typed error.
-	if i := eigenvalues.FirstNonFinite(); i >= 0 {
-		degenerateRuns.Inc()
-		return nil, cirerr.New("core.score", cirerr.ErrDegenerateGeometry, "generalized eigenvalue %d is %v", i, eigenvalues[i])
-	}
-	if p := nodeScores.FirstNonFinite(); p >= 0 {
-		degenerateRuns.Inc()
-		return nil, cirerr.New("core.score", cirerr.ErrDegenerateGeometry, "stability score of node %d is %v", p, nodeScores[p])
-	}
-
-	return &Result{
-		NodeScores:     nodeScores,
-		EdgeScores:     edgeScores,
-		InputManifold:  gx,
-		OutputManifold: gy,
-		Eigenvalues:    eigenvalues,
-		Eigenvectors:   eigenvectors,
-	}, nil
+	return edgeScores, nodeScores
 }
 
 // ensureConnected returns g if connected; otherwise it returns a copy with

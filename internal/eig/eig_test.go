@@ -7,6 +7,8 @@ import (
 
 	"cirstag/internal/graph"
 	"cirstag/internal/mat"
+	"cirstag/internal/obs"
+	"cirstag/internal/parallel"
 	"cirstag/internal/solver"
 	"cirstag/internal/sparse"
 )
@@ -288,6 +290,121 @@ func TestGeneralizedSeededMatchesOracle(t *testing.T) {
 		denom := math.Max(math.Abs(ref[i].Value), 1e-8)
 		if rel := math.Abs(got[i].Value-ref[i].Value) / denom; rel > 2e-2 {
 			t.Fatalf("seeded eigenvalue %d = %v, reference %v (rel %.3g)", i, got[i].Value, ref[i].Value, rel)
+		}
+	}
+}
+
+// countedGeneralized runs GeneralizedTopKSeeded with default options and obs
+// recording on, and returns its pairs, its step count (the final basis size)
+// and its restart count. Every step is one inner solve, so the iterations
+// counter must agree with the basis gauge.
+func countedGeneralized(t *testing.T, lx, ly *sparse.CSR, k int) (pairs []GeneralizedPair, steps int, restarts int64) {
+	t.Helper()
+	obs.Reset()
+	obs.Enable()
+	defer func() {
+		obs.Disable()
+		obs.Reset()
+	}()
+	pairs = GeneralizedTopKSeeded(lx, ly, k, nil, rand.New(rand.NewSource(1)), Options{})
+	steps = int(genBasis.Value())
+	if iters := genIters.Value(); iters != int64(steps) {
+		t.Fatalf("%d inner solves for a basis of %d vectors", iters, steps)
+	}
+	return pairs, steps, genRestarts.Value()
+}
+
+func checkAgainstOracle(t *testing.T, pairs []GeneralizedPair, oracle mat.Vec) {
+	t.Helper()
+	for i, p := range pairs {
+		want := oracle[len(oracle)-1-i]
+		if math.Abs(p.Value-want) > 1e-5*math.Max(1, want) {
+			t.Fatalf("generalized eig %d: got %v want %v", i, p.Value, want)
+		}
+	}
+}
+
+// convergingPair is a random pair whose top 4 Ritz pairs meet the default
+// 1e-4 residual target after 19 steps, well before the 36-step ceiling.
+func convergingPair() (lx, ly *sparse.CSR) {
+	rng := rand.New(rand.NewSource(94))
+	gx := randomConnectedGraph(rng, 200, 100)
+	gy := randomConnectedGraph(rng, 200, 100)
+	return gx.Laplacian(), gy.Laplacian()
+}
+
+// heavyEdgePair is L_Y plus one heavy edge (p, q): every generalized
+// eigenvalue is 1 except ζ₁ = 1 + w·R_Y(p, q), whose eigenvector L_Y⁺·e_pq
+// lies in the first two-step Krylov block. Every later direction breaks down
+// after one step.
+func heavyEdgePair() (lx, ly *sparse.CSR) {
+	gy := randomConnectedGraph(rand.New(rand.NewSource(90)), 60, 40)
+	gx := gy.Clone()
+	gx.AddEdge(0, 59, 1e3)
+	return gx.Laplacian(), gy.Laplacian()
+}
+
+// Rule 1: with default options the iteration stops once every top-k Ritz
+// residual estimate is within 100·InnerTol of its value, before MaxIter, and
+// the values still match the dense oracle.
+func TestGeneralizedStopsWhenRitzPairsConverge(t *testing.T) {
+	lx, ly := convergingPair()
+	pairs, steps, restarts := countedGeneralized(t, lx, ly, 4)
+	if steps >= 36 {
+		t.Fatalf("solve ran %d steps, want fewer than the MaxIter ceiling of 36", steps)
+	}
+	if restarts != 0 {
+		t.Fatalf("%d restarts, want 0", restarts)
+	}
+	checkAgainstOracle(t, pairs, denseGeneralizedOracle(t, lx, ly))
+}
+
+// Rule 2: a breakdown once the basis holds k vectors ends the solve instead
+// of restarting it. Here the first block breaks down at m = 2, the restarts
+// at m = 2 and 3 stay, and the breakdown at m = k = 4 stops the solve.
+func TestGeneralizedStopsAtBreakdownOnceBasisHoldsK(t *testing.T) {
+	lx, ly := heavyEdgePair()
+	const k = 4
+	pairs, steps, restarts := countedGeneralized(t, lx, ly, k)
+	if steps != k {
+		t.Fatalf("solve ran %d steps, want %d", steps, k)
+	}
+	if restarts != k-2 {
+		t.Fatalf("%d restarts, want %d (all below k)", restarts, k-2)
+	}
+	checkAgainstOracle(t, pairs, denseGeneralizedOracle(t, lx, ly))
+}
+
+// The stop decision reads only the tridiagonal, so both stop rules fire at
+// the same step, with the same pair bits, at any worker count.
+func TestGeneralizedStopWorkerEquivalence(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	for _, c := range []struct {
+		name string
+		pair func() (lx, ly *sparse.CSR)
+	}{
+		{"converged", convergingPair},
+		{"breakdown", heavyEdgePair},
+	} {
+		lx, ly := c.pair()
+		parallel.SetWorkers(1)
+		ref, refSteps, _ := countedGeneralized(t, lx, ly, 4)
+		for _, w := range []int{2, 4} {
+			parallel.SetWorkers(w)
+			got, steps, _ := countedGeneralized(t, lx, ly, 4)
+			if steps != refSteps {
+				t.Fatalf("%s, %d workers: %d steps, 1 worker: %d", c.name, w, steps, refSteps)
+			}
+			for i := range ref {
+				if math.Float64bits(got[i].Value) != math.Float64bits(ref[i].Value) {
+					t.Fatalf("%s, %d workers: value %d differs from 1 worker", c.name, w, i)
+				}
+				for x := range ref[i].Vector {
+					if math.Float64bits(got[i].Vector[x]) != math.Float64bits(ref[i].Vector[x]) {
+						t.Fatalf("%s, %d workers: vector %d differs at entry %d", c.name, w, i, x)
+					}
+				}
+			}
 		}
 	}
 }

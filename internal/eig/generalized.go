@@ -14,8 +14,11 @@ import (
 )
 
 // Convergence metrics of the generalized (L_Y inner product) iteration.
-// eig.generalized.basis is the final Krylov basis size — when it stays well
-// below MaxIter the breakdown/restart logic ended the iteration early.
+// eig.generalized.basis is the final Krylov basis size, which is also the
+// number of inner solves: MaxIter when the ceiling ended the iteration,
+// fewer when the top-k Ritz pairs converged or the Krylov space broke down.
+// eig.generalized.restarts counts breakdowns below k basis vectors, the only
+// ones that restart.
 var (
 	genIters    = obs.NewCounter("eig.generalized.iterations")
 	genRestarts = obs.NewCounter("eig.generalized.restarts")
@@ -40,6 +43,18 @@ type GeneralizedPair struct {
 // This is the Phase-3 workhorse of CirSTAG (Algorithm 1, line 8): the
 // eigenvectors weighted by √ζ embed the input manifold so that edge lengths
 // approximate cubed distance-mapping distortions.
+//
+// Each step costs one Laplacian solve. Once the basis holds m ≥ k vectors
+// the iteration stops at the first of:
+//   - convergence: every top-k Ritz residual estimate β·|s_{m,i}| (β the
+//     B-norm of the next direction, s_{m,i} the last entry of the
+//     tridiagonal's i-th eigenvector) is at most 100·InnerTol·|θᵢ|;
+//   - breakdown: β < 50·InnerTol·scale, so the next direction is solver
+//     noise (below k vectors a breakdown restarts the basis instead);
+//   - the MaxIter ceiling.
+//
+// The decision reads only the tridiagonal, so every step before the stop,
+// and the stop itself, are the same at any worker count.
 //
 // Seeds are optional warm-start directions; nil seeds start the Krylov basis
 // from rng alone, which is what every pipeline caller passes. Seeds are
@@ -178,11 +193,16 @@ func GeneralizedTopKSeeded(lx, ly *sparse.CSR, k int, seeds []mat.Vec, rng *rand
 		if scale > 0 {
 			genResidual.Observe(bj / scale)
 		}
+		m := len(alpha)
 		// Breakdown: the residual direction is dominated by Laplacian-solver
-		// noise, so continuing would inject spurious Ritz values. Restart
-		// with a fresh random direction, which is a legitimate new Krylov
-		// seed (beta = 0 decouples the blocks).
+		// noise, so continuing would inject spurious Ritz values. Once the
+		// basis holds k vectors the solve stops here; below k it restarts
+		// with a fresh direction, which is a legitimate new Krylov seed
+		// (beta = 0 decouples the blocks).
 		if bj < 50*opts.InnerTol*scale {
+			if m >= k {
+				break
+			}
 			genRestarts.Inc()
 			restarted := false
 			for {
@@ -205,6 +225,11 @@ func GeneralizedTopKSeeded(lx, ly *sparse.CSR, k int, seeds []mat.Vec, rng *rand
 			}
 			beta = append(beta, 0)
 			continue
+		}
+		// Converged: every top-k Ritz residual is within 100·InnerTol of
+		// its value.
+		if m >= k && ritzConverged(alpha, beta, k, bj, 100*opts.InnerTol) {
+			break
 		}
 		if bj > scale {
 			scale = bj
@@ -246,6 +271,22 @@ func GeneralizedTopKSeeded(lx, ly *sparse.CSR, k int, seeds []mat.Vec, rng *rand
 		out[c] = GeneralizedPair{Value: val, Vector: x}
 	})
 	return out
+}
+
+// ritzConverged reports whether each of the k largest Ritz pairs (θᵢ, Q·sᵢ)
+// of the m-step tridiagonal T = tridiag(alpha, beta) has converged. Its
+// residual has B-norm next·|s_{m,i}|, where next is the B-norm of the next,
+// not yet normalized, Lanczos direction; the pair has converged when that is
+// at most tol·|θᵢ|.
+func ritzConverged(alpha, beta mat.Vec, k int, next, tol float64) bool {
+	vals, vecs := mat.TridiagEig(alpha, beta)
+	m := len(vals)
+	for i := m - 1; i >= m-k; i-- {
+		if next*math.Abs(vecs.At(m-1, i)) > tol*math.Abs(vals[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // deflate removes the global mean (projection against the constant vector).

@@ -42,13 +42,15 @@ const (
 
 // Options tunes the Lanczos iterations.
 type Options struct {
-	// MaxIter caps the Krylov dimension. Default: min(n, max(6k, 80)).
+	// MaxIter caps the Krylov dimension. GeneralizedTopKSeeded treats it as
+	// a ceiling and usually stops earlier, once its top-k pairs converge or
+	// its Krylov space breaks down. Default: min(n, max(6k, 80)) for
+	// Lanczos, min(n, max(4k, 36)) for GeneralizedTopKSeeded.
 	MaxIter int
-	// Tol is the Ritz-pair residual target relative to the spectral radius
-	// estimate. Default 1e-8.
-	Tol float64
 	// InnerTol is the relative-residual tolerance of the Laplacian solves
-	// inside GeneralizedTopKSeeded (ignored by plain Lanczos). Default 1e-6.
+	// inside GeneralizedTopKSeeded (ignored by plain Lanczos). It also sets
+	// that iteration's Ritz-residual target, 100·InnerTol relative to each
+	// Ritz value, and its breakdown threshold. Default 1e-6.
 	InnerTol float64
 }
 
@@ -56,7 +58,7 @@ type Options struct {
 // key, so cached spectra are invalidated when tolerances or iteration caps
 // change. New result-affecting fields must be added here.
 func (o Options) AddToKey(k *cache.Key) *cache.Key {
-	return k.Int(int64(o.MaxIter)).Float(o.Tol).Float(o.InnerTol)
+	return k.Int(int64(o.MaxIter)).Float(o.InnerTol)
 }
 
 func (o Options) withDefaults(n, k int) Options {
@@ -68,9 +70,6 @@ func (o Options) withDefaults(n, k int) Options {
 	}
 	if o.MaxIter > n {
 		o.MaxIter = n
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-8
 	}
 	return o
 }

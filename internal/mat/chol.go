@@ -64,15 +64,6 @@ func CholSolve(l *Dense, b Vec) Vec {
 	return x
 }
 
-// SolveSPD solves a·x = b for symmetric positive definite a.
-func SolveSPD(a *Dense, b Vec) (Vec, error) {
-	l, err := Cholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	return CholSolve(l, b), nil
-}
-
 // LogDetSPD returns log(det(a)) for symmetric positive definite a, computed
 // stably from the Cholesky factor as 2·Σ log L_ii.
 func LogDetSPD(a *Dense) (float64, error) {

@@ -45,9 +45,9 @@ func RunSparsifyAblation(name string, seed int64, opts core.Options) (*SparsifyA
 
 	denseOpts := opts
 	denseOpts.Seed = seed
-	// A large AvgDegree budget disables pruning in practice (kNN graphs have
-	// at most K·n edges).
-	denseOpts.AvgDegree = 4 * maxInt(denseOpts.KNN, 10)
+	// A budget of 40·n/2 edges disables pruning: core's kNN graphs (k = 10)
+	// have at most 10·n edges.
+	denseOpts.AvgDegree = 40
 	t1 := time.Now()
 	denseRes, err := core.Run(in, denseOpts)
 	if err != nil {
@@ -94,13 +94,6 @@ func RunDimsAblation(name string, seed int64, embedDims, scoreDims []int, tcfg C
 		}
 	}
 	return rows, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func maxFloat(a, b float64) float64 {

@@ -34,6 +34,9 @@ import (
 	"cirstag/internal/pgm"
 )
 
+// knnK is the kNN neighbourhood size of both manifolds (Phase 2).
+const knnK = 10
+
 // Options configures a CirSTAG run. The zero value gives sensible defaults.
 type Options struct {
 	// EmbedDims is the spectral-embedding dimension M (Phase 1). Default 16.
@@ -41,8 +44,6 @@ type Options struct {
 	// ScoreDims is the number s of generalized eigenpairs used for scores
 	// (Phase 3). Default 8.
 	ScoreDims int
-	// KNN is the neighbourhood size for manifold construction. Default 10.
-	KNN int
 	// AvgDegree is the target average degree of the sparsified manifolds.
 	// Default 6.
 	AvgDegree int
@@ -94,9 +95,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ScoreDims <= 0 {
 		o.ScoreDims = 8
-	}
-	if o.KNN <= 0 {
-		o.KNN = 10
 	}
 	if o.AvgDegree <= 0 {
 		o.AvgDegree = 6
@@ -231,7 +229,7 @@ func Run(in Input, opts Options) (res *Result, err error) {
 					gx = g
 					return
 				}
-				gx = pgm.FromGraph(in.Graph, rngGX, pgm.Options{AvgDegree: opts.AvgDegree, SkipSparsify: true, Span: gxSpan})
+				gx = in.Graph.Clone()
 				opts.Cache.PutGraph(kindManifold, keys.gx, gx)
 				return
 			}
@@ -251,7 +249,7 @@ func Run(in Input, opts Options) (res *Result, err error) {
 				gx = g
 				return
 			}
-			gx = pgm.Build(embedding, rngGX, pgm.Options{K: opts.KNN, AvgDegree: opts.AvgDegree, Span: gxSpan})
+			gx = pgm.Build(embedding, rngGX, pgm.Options{K: knnK, AvgDegree: opts.AvgDegree, Span: gxSpan})
 			opts.Cache.PutGraph(kindManifold, keys.gx, gx)
 		},
 		func() {
@@ -261,7 +259,7 @@ func Run(in Input, opts Options) (res *Result, err error) {
 				gy = g
 				return
 			}
-			gy = pgm.Build(in.Output, rngGY, pgm.Options{K: opts.KNN, AvgDegree: opts.AvgDegree, Span: gySpan})
+			gy = pgm.Build(in.Output, rngGY, pgm.Options{K: knnK, AvgDegree: opts.AvgDegree, Span: gySpan})
 			opts.Cache.PutGraph(kindManifold, keys.gy, gy)
 		},
 	)
@@ -337,13 +335,13 @@ func (o Options) artifactKeys(in Input) runKeys {
 	// plus the manifold construction parameters and the seed driving the
 	// sparsifier's RNG stream.
 	gk := cache.NewKey(kindManifold).String("gx").Bool(o.SkipDimReduction).
-		Int(int64(o.KNN)).Int(int64(o.AvgDegree)).Int(o.Seed)
+		Int(knnK).Int(int64(o.AvgDegree)).Int(o.Seed)
 	gk.String(keys.embed) // transitively covers graph + embed options
 	keys.gx = gk.Sum()
 
 	// G_Y: the GNN output content plus manifold parameters and seed.
 	yk := cache.NewKey(kindManifold).String("gy").Dense(in.Output).
-		Int(int64(o.KNN)).Int(int64(o.AvgDegree)).Int(o.Seed)
+		Int(knnK).Int(int64(o.AvgDegree)).Int(o.Seed)
 	keys.gy = yk.Sum()
 	return keys
 }

@@ -127,6 +127,29 @@ func topOverlap(a, b mat.Vec) float64 {
 	return float64(hit) / float64(len(ta))
 }
 
+// cliOptions are the options the CLI and the cirbench analyze workload run
+// with at seed 1.
+var cliOptions = Options{Seed: 1, EmbedDims: 16, ScoreDims: 8, FeatureAlpha: 1}
+
+// ssPCMInput is the cirbench analyze workload's input for ss_pcm at seed 1:
+// the pin graph, its features, and the outputs of an untrained two-layer
+// GCN.
+func ssPCMInput(t *testing.T) Input {
+	t.Helper()
+	nl, err := circuit.BenchmarkByName("ss_pcm", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := nl.PinGraph()
+	rng := rand.New(rand.NewSource(1))
+	adj := gnn.NormalizedAdjacency(g)
+	feat := nl.Features()
+	l1 := gnn.NewGCNLayer(adj, feat.Cols, 16, rng)
+	l2 := gnn.NewGCNLayer(adj, 16, 16, rng)
+	y := l2.Forward((&nn.Tanh{}).Forward(l1.Forward(feat)))
+	return Input{Graph: g, Output: y, Features: feat}
+}
+
 // TestEigensolveMatchesDenseReference checks Run's Phase-3 eigensolve
 // against exact arithmetic on a pipeline manifold pair: ss_pcm at seed 1,
 // with the CLI options and the untrained two-layer GCN outputs of the
@@ -141,18 +164,7 @@ func TestEigensolveMatchesDenseReference(t *testing.T) {
 		minSpearman = 0.99999
 		minOverlap  = 1.0
 	)
-	nl, err := circuit.BenchmarkByName("ss_pcm", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := nl.PinGraph()
-	rng := rand.New(rand.NewSource(1))
-	adj := gnn.NormalizedAdjacency(g)
-	feat := nl.Features()
-	l1 := gnn.NewGCNLayer(adj, feat.Cols, 16, rng)
-	l2 := gnn.NewGCNLayer(adj, 16, 16, rng)
-	y := l2.Forward((&nn.Tanh{}).Forward(l1.Forward(feat)))
-	res, err := Run(Input{Graph: g, Output: y, Features: feat}, Options{Seed: 1, EmbedDims: 16, ScoreDims: 8, FeatureAlpha: 1})
+	res, err := Run(ssPCMInput(t), cliOptions)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,7 +192,7 @@ func (b *Baseline) RunIncremental(newOutput *mat.Dense, iopts IncrementalOptions
 	rngEig := parallel.NewRNG(b.Opts.Seed, 3)
 
 	gySpan := root.Child("output_manifold")
-	popts := pgm.Options{K: b.Opts.KNN, AvgDegree: b.Opts.AvgDegree, Span: gySpan}
+	popts := pgm.Options{K: knnK, AvgDegree: b.Opts.AvgDegree, Span: gySpan}
 	var newGY *graph.Graph
 	patched := false
 	if float64(len(changed)) > iopts.MaxChangedFrac*float64(n) || driftRebuild {
@@ -314,17 +314,4 @@ func maxAbsDense(m *mat.Dense) float64 {
 		}
 	}
 	return maxAbs
-}
-
-// changedRows returns the ascending list of rows whose entries differ between
-// oldY and newY by more than relTol times the largest absolute entry of oldY.
-func changedRows(oldY, newY *mat.Dense, relTol float64) []int {
-	tol := relTol * maxAbsDense(oldY)
-	var changed []int
-	for i, d := range rowDisplacements(oldY, newY) {
-		if d > tol {
-			changed = append(changed, i)
-		}
-	}
-	return changed
 }

@@ -372,16 +372,3 @@ func topSet(r *Ranking, k int) map[int]bool {
 	}
 	return out
 }
-
-// sanity check on changedRows tolerance arithmetic.
-func TestChangedRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	in := syntheticInput(rng, 20, nil)
-	y := in.Output.Clone()
-	y.Set(7, 1, y.At(7, 1)+0.5)
-	y.Set(12, 0, y.At(12, 0)+0.5)
-	got := changedRows(in.Output, y, 1e-9)
-	if len(got) != 2 || got[0] != 7 || got[1] != 12 {
-		t.Fatalf("changedRows = %v, want [7 12]", got)
-	}
-}

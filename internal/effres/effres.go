@@ -5,8 +5,7 @@
 //
 // Two estimators are provided:
 //
-//   - Exact: one Laplacian solve per query (or per node for all-pairs on
-//     small graphs).
+//   - Exact: one Laplacian solve per query.
 //   - Sketch: the Spielman–Srivastava Johnson–Lindenstrauss construction.
 //     Z = Q·W^{1/2}·B·L⁺ (q x n) is built with q = O(log n / ε²) random
 //     projection rows and q Laplacian solves; afterwards every edge query is
@@ -57,19 +56,6 @@ func Exact(s *solver.Laplacian, u, v int) float64 {
 		r = 0
 	}
 	return r
-}
-
-// ExactAllEdges computes the exact effective resistance of every edge of g,
-// indexed like g.Edges(). It performs one solve per edge; use Sketch for
-// anything beyond a few thousand edges.
-func ExactAllEdges(g *graph.Graph, opts solver.Options) []float64 {
-	s := solver.NewLaplacian(g, opts)
-	edges := g.Edges()
-	out := make([]float64, len(edges))
-	for i, e := range edges {
-		out[i] = Exact(s, e.U, e.V)
-	}
-	return out
 }
 
 // Sketch holds a JL projection of the resistance embedding. Rows of Z give a
@@ -171,18 +157,4 @@ func (sk *Sketch) EdgeResistances(g *graph.Graph) []float64 {
 		out[i] = sk.Resistance(e.U, e.V)
 	}
 	return out
-}
-
-// Leverage returns w(u,v)·R_eff(u,v) for an edge, the spectral leverage score
-// in [0, 1]. The sum of leverage scores over all edges of a connected graph
-// equals n − 1.
-func Leverage(w, reff float64) float64 {
-	l := w * reff
-	if l < 0 {
-		return 0
-	}
-	if l > 1 {
-		return 1
-	}
-	return l
 }

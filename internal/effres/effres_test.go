@@ -209,12 +209,6 @@ func TestSketchLeverageSumIsNMinusOne(t *testing.T) {
 	}
 }
 
-func TestLeverageClamps(t *testing.T) {
-	if Leverage(2, 1) != 1 || Leverage(-1, 1) != 0 || Leverage(0.5, 0.5) != 0.25 {
-		t.Fatal("Leverage clamping wrong")
-	}
-}
-
 func TestSketchDeterministicWithSeed(t *testing.T) {
 	g := pathGraph(12)
 	sk1 := NewSketch(g, 16, rand.New(rand.NewSource(5)), solver.Options{})

@@ -63,17 +63,3 @@ func CholSolve(l *Dense, b Vec) Vec {
 	}
 	return x
 }
-
-// LogDetSPD returns log(det(a)) for symmetric positive definite a, computed
-// stably from the Cholesky factor as 2·Σ log L_ii.
-func LogDetSPD(a *Dense) (float64, error) {
-	l, err := Cholesky(a)
-	if err != nil {
-		return 0, err
-	}
-	var s float64
-	for i := 0; i < l.Rows; i++ {
-		s += math.Log(l.At(i, i))
-	}
-	return 2 * s, nil
-}

@@ -6,70 +6,6 @@ import (
 	"testing"
 )
 
-func TestQRFactorReconstruct(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := randDense(rng, 12, 5)
-	f := QRFactor(a)
-	// Q orthonormal columns.
-	qtq := f.Q.MulT(f.Q)
-	if !qtq.Equalish(Eye(5), 1e-10) {
-		t.Fatal("QᵀQ != I")
-	}
-	// Q·R == A.
-	if !f.Q.Mul(f.R).Equalish(a, 1e-10) {
-		t.Fatal("QR != A")
-	}
-	// R upper triangular.
-	for i := 1; i < 5; i++ {
-		for j := 0; j < i; j++ {
-			if math.Abs(f.R.At(i, j)) > 1e-12 {
-				t.Fatal("R not upper triangular")
-			}
-		}
-	}
-}
-
-func TestQRRankDeficient(t *testing.T) {
-	a := NewDense(4, 3)
-	// Column 1 = 2 * column 0; column 2 independent.
-	for i := 0; i < 4; i++ {
-		a.Set(i, 0, float64(i+1))
-		a.Set(i, 1, 2*float64(i+1))
-		a.Set(i, 2, float64(i*i))
-	}
-	rank := Orthonormalize(a.Clone())
-	if rank != 2 {
-		t.Fatalf("rank = %d, want 2", rank)
-	}
-}
-
-func TestLeastSquaresExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := randDense(rng, 10, 4)
-	xTrue := Vec{1, -2, 3, 0.5}
-	b := a.MulVec(xTrue)
-	x := LeastSquares(a, b)
-	if MaxAbsDiff(x, xTrue) > 1e-9 {
-		t.Fatalf("LeastSquares exact recovery failed: %v vs %v", x, xTrue)
-	}
-}
-
-func TestLeastSquaresResidualOrthogonal(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	a := randDense(rng, 15, 4)
-	b := make(Vec, 15)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x := LeastSquares(a, b)
-	res := Sub(a.MulVec(x), b)
-	// Residual must be orthogonal to the column space.
-	proj := a.MulVecT(res)
-	if NormInf(proj) > 1e-9 {
-		t.Fatalf("residual not orthogonal to range(A): %v", NormInf(proj))
-	}
-}
-
 func TestSymEigSmall(t *testing.T) {
 	// Eigenvalues of [[2,1],[1,2]] are 1 and 3.
 	a := FromRows([][]float64{{2, 1}, {1, 2}})
@@ -207,17 +143,29 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	}
 }
 
+// log det of an SPD matrix two ways: 2·Σ log L_ii from the Cholesky factor
+// and Σ log λ_i from SymEig.
 func TestLogDetSPD(t *testing.T) {
-	// det(diag(2,3,4)) = 24.
-	a := NewDense(3, 3)
-	a.Set(0, 0, 2)
-	a.Set(1, 1, 3)
-	a.Set(2, 2, 4)
-	ld, err := LogDetSPD(a)
+	rng := rand.New(rand.NewSource(16))
+	n := 10
+	b := randDense(rng, n, n)
+	a := b.MulT(b)
+	for i := 0; i < n; i++ {
+		a.Set(i, i, a.At(i, i)+1)
+	}
+	l, err := Cholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEq(ld, math.Log(24), 1e-12) {
-		t.Fatalf("LogDetSPD = %v, want log 24", ld)
+	var fromChol, fromEig float64
+	for i := 0; i < n; i++ {
+		fromChol += 2 * math.Log(l.At(i, i))
+	}
+	vals, _ := SymEig(a)
+	for _, v := range vals {
+		fromEig += math.Log(v)
+	}
+	if !almostEq(fromChol, fromEig, 1e-9*math.Abs(fromEig)) {
+		t.Fatalf("log det: Cholesky %v, SymEig %v", fromChol, fromEig)
 	}
 }

@@ -1,7 +1,7 @@
 // Package mat provides dense linear-algebra primitives used throughout the
 // CirSTAG reproduction: vectors, row-major dense matrices, BLAS-style
-// kernels, QR factorization, a symmetric tridiagonal eigensolver, and a
-// Cholesky factorization. Everything is pure Go on float64 and sized for
+// kernels, a symmetric tridiagonal eigensolver, and a Cholesky
+// factorization. Everything is pure Go on float64 and sized for
 // laptop-scale spectral computations (up to a few hundred thousand rows,
 // narrow column counts).
 package mat
@@ -13,9 +13,6 @@ import (
 
 // Vec is a dense float64 vector.
 type Vec []float64
-
-// NewVec returns a zero vector of length n.
-func NewVec(n int) Vec { return make(Vec, n) }
 
 // Clone returns a copy of v.
 func (v Vec) Clone() Vec {
@@ -106,25 +103,6 @@ func Scale(alpha float64, v Vec) {
 	for i := range v {
 		v[i] *= alpha
 	}
-}
-
-// AddScaled returns v + alpha*w as a new vector.
-func AddScaled(v Vec, alpha float64, w Vec) Vec {
-	out := v.Clone()
-	Axpy(alpha, w, out)
-	return out
-}
-
-// Sub returns v - w as a new vector.
-func Sub(v, w Vec) Vec {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("mat: Sub length mismatch %d vs %d", len(v), len(w)))
-	}
-	out := make(Vec, len(v))
-	for i := range v {
-		out[i] = v[i] - w[i]
-	}
-	return out
 }
 
 // Sum returns the sum of the entries of v.

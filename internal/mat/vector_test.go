@@ -80,10 +80,6 @@ func TestSumMeanSub(t *testing.T) {
 	if Mean(Vec{}) != 0 {
 		t.Fatal("Mean(empty) != 0")
 	}
-	d := Sub(Vec{5, 5}, Vec{2, 3})
-	if d[0] != 3 || d[1] != 2 {
-		t.Fatalf("Sub = %v", d)
-	}
 }
 
 // Property: Cauchy-Schwarz |<v,w>| <= ||v|| ||w||.
@@ -135,16 +131,5 @@ func TestMaxAbsDiffAndNormInf(t *testing.T) {
 	}
 	if got := NormInf(Vec{-7, 3}); got != 7 {
 		t.Fatalf("NormInf = %v", got)
-	}
-}
-
-func TestAddScaledClone(t *testing.T) {
-	v := Vec{1, 1}
-	got := AddScaled(v, 3, Vec{1, 2})
-	if got[0] != 4 || got[1] != 7 {
-		t.Fatalf("AddScaled = %v", got)
-	}
-	if v[0] != 1 || v[1] != 1 {
-		t.Fatal("AddScaled mutated its input")
 	}
 }

@@ -1,6 +1,5 @@
 // Package metrics collects the evaluation statistics used by the experiment
-// harness: R², macro-F1, cosine similarity, rank correlations, histograms,
-// and summary statistics.
+// harness: R², macro-F1, cosine similarity, accuracy and rank correlations.
 //
 // # Degenerate-input convention
 //
@@ -224,125 +223,4 @@ func PearsonOK(x, y mat.Vec) (v float64, ok bool) {
 		return 0, false
 	}
 	return sxy / math.Sqrt(sxx*syy), true
-}
-
-// KendallTau returns Kendall's τ-a rank correlation (O(n²); for the modest
-// vector lengths used in rank-quality ablations).
-func KendallTau(x, y mat.Vec) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("metrics: KendallTau lengths %d vs %d", len(x), len(y)))
-	}
-	n := len(x)
-	if n < 2 {
-		return 0
-	}
-	var concordant, discordant float64
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			sx := sign(x[i] - x[j])
-			sy := sign(y[i] - y[j])
-			p := sx * sy
-			if p > 0 {
-				concordant++
-			} else if p < 0 {
-				discordant++
-			}
-		}
-	}
-	total := float64(n*(n-1)) / 2
-	return (concordant - discordant) / total
-}
-
-func sign(x float64) float64 {
-	switch {
-	case x > 0:
-		return 1
-	case x < 0:
-		return -1
-	}
-	return 0
-}
-
-// Summary holds basic distribution statistics.
-type Summary struct {
-	N                int
-	Mean, Std        float64
-	Min, Max, Median float64
-	P90, P99         float64
-}
-
-// Summarize computes summary statistics of v.
-func Summarize(v mat.Vec) Summary {
-	n := len(v)
-	if n == 0 {
-		return Summary{}
-	}
-	s := Summary{N: n, Mean: mat.Mean(v)}
-	sorted := v.Clone()
-	sort.Float64s(sorted)
-	s.Min = sorted[0]
-	s.Max = sorted[n-1]
-	s.Median = quantileSorted(sorted, 0.5)
-	s.P90 = quantileSorted(sorted, 0.9)
-	s.P99 = quantileSorted(sorted, 0.99)
-	var varAcc float64
-	for _, x := range v {
-		d := x - s.Mean
-		varAcc += d * d
-	}
-	if n > 1 {
-		s.Std = math.Sqrt(varAcc / float64(n-1))
-	}
-	return s
-}
-
-func quantileSorted(sorted mat.Vec, q float64) float64 {
-	n := len(sorted)
-	if n == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(n-1)
-	lo := int(pos)
-	if lo >= n-1 {
-		return sorted[n-1]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// Histogram bins values into nbins equal-width buckets over [min, max] and
-// returns the bucket edges (nbins+1) and counts (nbins).
-func Histogram(v mat.Vec, nbins int) (edges mat.Vec, counts []int) {
-	if nbins < 1 {
-		panic("metrics: Histogram needs at least one bin")
-	}
-	counts = make([]int, nbins)
-	edges = make(mat.Vec, nbins+1)
-	if len(v) == 0 {
-		return edges, counts
-	}
-	lo, hi := v[0], v[0]
-	for _, x := range v {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if hi == lo {
-		hi = lo + 1
-	}
-	w := (hi - lo) / float64(nbins)
-	for i := range edges {
-		edges[i] = lo + float64(i)*w
-	}
-	for _, x := range v {
-		b := int((x - lo) / w)
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return edges, counts
 }

@@ -119,60 +119,6 @@ func TestSpearmanTies(t *testing.T) {
 	}
 }
 
-func TestKendallTau(t *testing.T) {
-	x := mat.Vec{1, 2, 3}
-	if math.Abs(KendallTau(x, mat.Vec{10, 20, 30})-1) > 1e-12 {
-		t.Fatal("concordant should be 1")
-	}
-	if math.Abs(KendallTau(x, mat.Vec{30, 20, 10})+1) > 1e-12 {
-		t.Fatal("discordant should be -1")
-	}
-	got := KendallTau(mat.Vec{1, 2, 3, 4}, mat.Vec{1, 2, 4, 3})
-	// 5 concordant, 1 discordant of 6 pairs → 4/6.
-	if math.Abs(got-4.0/6) > 1e-12 {
-		t.Fatalf("KendallTau = %v", got)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize(mat.Vec{4, 1, 3, 2})
-	if s.N != 4 || s.Min != 1 || s.Max != 4 || math.Abs(s.Mean-2.5) > 1e-12 {
-		t.Fatalf("summary %+v", s)
-	}
-	if math.Abs(s.Median-2.5) > 1e-12 {
-		t.Fatalf("median %v", s.Median)
-	}
-	if Summarize(nil).N != 0 {
-		t.Fatal("empty summary should be zero")
-	}
-	one := Summarize(mat.Vec{7})
-	if one.Median != 7 || one.P99 != 7 || one.Std != 0 {
-		t.Fatalf("singleton summary %+v", one)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	edges, counts := Histogram(mat.Vec{0, 0.5, 1, 1.5, 2}, 2)
-	if len(edges) != 3 || len(counts) != 2 {
-		t.Fatal("histogram shape wrong")
-	}
-	if counts[0]+counts[1] != 5 {
-		t.Fatal("histogram lost values")
-	}
-	if counts[0] != 2 || counts[1] != 3 {
-		t.Fatalf("counts %v", counts)
-	}
-	// Degenerate all-equal input.
-	_, c2 := Histogram(mat.Vec{3, 3, 3}, 4)
-	total := 0
-	for _, c := range c2 {
-		total += c
-	}
-	if total != 3 {
-		t.Fatal("degenerate histogram lost values")
-	}
-}
-
 func TestPearsonRandomBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(140))
 	for trial := 0; trial < 50; trial++ {

@@ -27,38 +27,6 @@ func MSE(pred, target *mat.Dense) (float64, *mat.Dense) {
 	return loss / n, grad
 }
 
-// MaskedMSE computes MSE only over rows where mask is true; other rows
-// contribute zero loss and gradient. Used to train on a subset of nodes.
-func MaskedMSE(pred, target *mat.Dense, mask []bool) (float64, *mat.Dense) {
-	if pred.Rows != target.Rows || pred.Cols != target.Cols || len(mask) != pred.Rows {
-		panic("nn: MaskedMSE shape mismatch")
-	}
-	grad := mat.NewDense(pred.Rows, pred.Cols)
-	var loss float64
-	var cnt int
-	for i := 0; i < pred.Rows; i++ {
-		if !mask[i] {
-			continue
-		}
-		cnt += pred.Cols
-	}
-	if cnt == 0 {
-		return 0, grad
-	}
-	n := float64(cnt)
-	for i := 0; i < pred.Rows; i++ {
-		if !mask[i] {
-			continue
-		}
-		for j := 0; j < pred.Cols; j++ {
-			d := pred.At(i, j) - target.At(i, j)
-			loss += d * d
-			grad.Set(i, j, 2*d/n)
-		}
-	}
-	return loss / n, grad
-}
-
 // SoftmaxCrossEntropy computes the mean cross-entropy of logits against
 // integer class labels and the gradient ∂L/∂logits. Rows with label < 0 are
 // ignored (masked out).
@@ -106,29 +74,6 @@ func SoftmaxCrossEntropy(logits *mat.Dense, labels []int) (float64, *mat.Dense) 
 		grow[lab] -= inv
 	}
 	return loss, grad
-}
-
-// Softmax returns row-wise softmax probabilities of logits.
-func Softmax(logits *mat.Dense) *mat.Dense {
-	out := logits.Clone()
-	for i := 0; i < out.Rows; i++ {
-		row := out.Data[i*out.Cols : (i+1)*out.Cols]
-		mx := row[0]
-		for _, v := range row[1:] {
-			if v > mx {
-				mx = v
-			}
-		}
-		var z float64
-		for j, v := range row {
-			row[j] = math.Exp(v - mx)
-			z += row[j]
-		}
-		for j := range row {
-			row[j] /= z
-		}
-	}
-	return out
 }
 
 // Argmax returns the index of the largest entry of each row.

@@ -115,41 +115,6 @@ func (l *Linear) Clone() *Linear {
 	return &Linear{In: l.In, Out: l.Out, Weight: l.Weight, Bias: l.Bias}
 }
 
-// ReLU is the rectified linear activation.
-type ReLU struct{ mask []bool }
-
-// Forward zeroes negative entries.
-func (r *ReLU) Forward(x *mat.Dense) *mat.Dense {
-	y := x.Clone()
-	if cap(r.mask) < len(y.Data) {
-		r.mask = make([]bool, len(y.Data))
-	}
-	r.mask = r.mask[:len(y.Data)]
-	for i, v := range y.Data {
-		if v <= 0 {
-			y.Data[i] = 0
-			r.mask[i] = false
-		} else {
-			r.mask[i] = true
-		}
-	}
-	return y
-}
-
-// Backward passes gradient only through positive entries.
-func (r *ReLU) Backward(grad *mat.Dense) *mat.Dense {
-	g := grad.Clone()
-	for i := range g.Data {
-		if !r.mask[i] {
-			g.Data[i] = 0
-		}
-	}
-	return g
-}
-
-// Params returns nil (ReLU has no parameters).
-func (r *ReLU) Params() []*Param { return nil }
-
 // LeakyReLU with configurable negative slope.
 type LeakyReLU struct {
 	Alpha float64

@@ -127,16 +127,28 @@ func TestCrossEntropyGradCheck(t *testing.T) {
 }
 
 func TestReLUForwardBackward(t *testing.T) {
-	r := &ReLU{}
+	r := &LeakyReLU{Alpha: 0.25}
 	x := mat.FromRows([][]float64{{-1, 2}, {3, -4}})
 	y := r.Forward(x)
-	if y.At(0, 0) != 0 || y.At(0, 1) != 2 || y.At(1, 0) != 3 || y.At(1, 1) != 0 {
-		t.Fatalf("ReLU forward wrong: %+v", y)
+	if y.At(0, 0) != -0.25 || y.At(0, 1) != 2 || y.At(1, 0) != 3 || y.At(1, 1) != -1 {
+		t.Fatalf("LeakyReLU forward wrong: %+v", y)
 	}
-	g := r.Backward(mat.FromRows([][]float64{{5, 5}, {5, 5}}))
-	if g.At(0, 0) != 0 || g.At(0, 1) != 5 || g.At(1, 1) != 0 {
-		t.Fatal("ReLU backward wrong")
+	g := r.Backward(mat.FromRows([][]float64{{4, 4}, {4, 4}}))
+	if g.At(0, 0) != 1 || g.At(0, 1) != 4 || g.At(1, 0) != 4 || g.At(1, 1) != 1 {
+		t.Fatal("LeakyReLU backward wrong")
 	}
+}
+
+// softmaxOf recovers the row probabilities from SoftmaxCrossEntropy's
+// gradient on an all-labelled batch: row i is (p_i − e_label)/rows.
+func softmaxOf(logits *mat.Dense, labels []int) *mat.Dense {
+	_, g := SoftmaxCrossEntropy(logits, labels)
+	p := g.Clone()
+	p.ScaleMat(float64(logits.Rows))
+	for i, lab := range labels {
+		p.Set(i, lab, p.At(i, lab)+1)
+	}
+	return p
 }
 
 func TestSoftmaxRowsSumToOne(t *testing.T) {
@@ -145,12 +157,16 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 	for i := range logits.Data {
 		logits.Data[i] = rng.NormFloat64() * 10
 	}
-	p := Softmax(logits)
+	labels := make([]int, logits.Rows)
+	for i := range labels {
+		labels[i] = i % logits.Cols
+	}
+	p := softmaxOf(logits, labels)
 	for i := 0; i < p.Rows; i++ {
 		var s float64
 		for j := 0; j < p.Cols; j++ {
 			v := p.At(i, j)
-			if v < 0 || v > 1 {
+			if v < -1e-12 || v > 1+1e-12 {
 				t.Fatal("probability out of range")
 			}
 			s += v
@@ -163,8 +179,11 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 
 func TestSoftmaxNumericalStability(t *testing.T) {
 	logits := mat.FromRows([][]float64{{1000, 1001, 999}})
-	p := Softmax(logits)
-	for _, v := range p.Data {
+	loss, g := SoftmaxCrossEntropy(logits, []int{0})
+	if want := math.Log(1 + math.E + 1/math.E); math.Abs(loss-want) > 1e-12 {
+		t.Fatalf("loss %v, want %v", loss, want)
+	}
+	for _, v := range g.Data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatal("softmax overflowed")
 		}
@@ -176,23 +195,6 @@ func TestArgmax(t *testing.T) {
 	a := Argmax(m)
 	if a[0] != 1 || a[1] != 0 {
 		t.Fatalf("Argmax = %v", a)
-	}
-}
-
-func TestMaskedMSE(t *testing.T) {
-	pred := mat.FromRows([][]float64{{1}, {2}, {3}})
-	tgt := mat.FromRows([][]float64{{0}, {2}, {0}})
-	mask := []bool{true, true, false}
-	loss, grad := MaskedMSE(pred, tgt, mask)
-	// Loss = (1 + 0)/2.
-	if math.Abs(loss-0.5) > 1e-12 {
-		t.Fatalf("masked loss %v", loss)
-	}
-	if grad.At(2, 0) != 0 {
-		t.Fatal("masked row should have zero gradient")
-	}
-	if grad.At(0, 0) != 1 { // 2*(1-0)/2
-		t.Fatalf("gradient %v", grad.At(0, 0))
 	}
 }
 

@@ -25,25 +25,6 @@ func ScaleCaps(nl *circuit.Netlist, pins []int, factor float64) *circuit.Netlist
 	return out
 }
 
-// TouchedPins returns the ascending list of pin ids whose capacitance
-// differs between a base netlist and a perturbed variant with identical pin
-// structure. It feeds incremental re-analysis (core.RunIncremental): a
-// perturbation touching k pins lets the scorer re-embed only those nodes'
-// neighbourhood instead of the whole design.
-func TouchedPins(base, variant *circuit.Netlist) []int {
-	n := len(base.Pins)
-	if len(variant.Pins) < n {
-		n = len(variant.Pins)
-	}
-	var out []int
-	for p := 0; p < n; p++ {
-		if base.Pins[p].Cap != variant.Pins[p].Cap {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // InputPinsOnly filters a ranked node list down to input pins (the
 // perturbable nodes of Case Study A), preserving order.
 func InputPinsOnly(nl *circuit.Netlist, nodes []int) []int {
@@ -67,91 +48,6 @@ func PrimaryOutputPinSet(nl *circuit.Netlist) map[int]bool {
 	return out
 }
 
-// RewireNodes returns a copy of g where, for each selected node, perNode of
-// its incident edges are disconnected on the far side and reattached to
-// uniformly random non-neighbours. Degree at the selected node is preserved;
-// the perturbation is local to the chosen nodes, matching Case Study B's
-// targeted topology perturbations.
-func RewireNodes(g *graph.Graph, nodes []int, perNode int, rng *rand.Rand) *graph.Graph {
-	n := g.N()
-	// Collect the edge set as a mutable map.
-	type edge struct{ u, v int }
-	keep := make(map[edge]float64, g.M())
-	for _, e := range g.Edges() {
-		keep[edge{e.U, e.V}] = e.W
-	}
-	norm := func(u, v int) edge {
-		if u > v {
-			u, v = v, u
-		}
-		return edge{u, v}
-	}
-	has := func(u, v int) bool {
-		_, ok := keep[norm(u, v)]
-		return ok
-	}
-	for _, s := range nodes {
-		if s < 0 || s >= n {
-			continue
-		}
-		ns := g.SortedNeighbors(s)
-		if len(ns) == 0 {
-			continue
-		}
-		rng.Shuffle(len(ns), func(i, j int) { ns[i], ns[j] = ns[j], ns[i] })
-		cnt := perNode
-		if cnt > len(ns) {
-			cnt = len(ns)
-		}
-		for k := 0; k < cnt; k++ {
-			old := norm(s, ns[k])
-			w, ok := keep[old]
-			if !ok {
-				continue // already rewired from the other endpoint
-			}
-			// Find a random new far endpoint.
-			var t int
-			found := false
-			for attempt := 0; attempt < 32; attempt++ {
-				t = rng.Intn(n)
-				if t != s && !has(s, t) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				continue
-			}
-			delete(keep, old)
-			keep[norm(s, t)] = w
-		}
-	}
-	out := graph.New(n)
-	// Deterministic reconstruction order.
-	es := make([]graph.Edge, 0, len(keep))
-	for e, w := range keep {
-		es = append(es, graph.Edge{U: e.u, V: e.v, W: w})
-	}
-	sortEdges(es)
-	for _, e := range es {
-		out.AddEdge(e.U, e.V, e.W)
-	}
-	return out
-}
-
-// RandomRewire rewires a uniformly random fraction of all edges (far side
-// moved to a random non-neighbour), used as an untargeted baseline.
-func RandomRewire(g *graph.Graph, fraction float64, rng *rand.Rand) *graph.Graph {
-	edges := g.Edges()
-	cnt := int(float64(len(edges)) * fraction)
-	nodes := make([]int, 0, cnt)
-	perm := rng.Perm(len(edges))
-	for _, i := range perm[:cnt] {
-		nodes = append(nodes, edges[i].U)
-	}
-	return RewireNodes(g, nodes, 1, rng)
-}
-
 func sortEdges(es []graph.Edge) {
 	sort.Slice(es, func(a, b int) bool {
 		if es[a].U != es[b].U {
@@ -161,10 +57,14 @@ func sortEdges(es []graph.Edge) {
 	})
 }
 
-// RewireNodesLocal is like RewireNodes but draws replacement endpoints from
-// the selected node's 2-hop neighbourhood instead of uniformly at random —
-// a small, locality-preserving topology perturbation suited to probing local
-// Lipschitz behaviour (large random rewires saturate every node's response).
+// RewireNodesLocal returns a copy of g where, for each selected node,
+// perNode of its incident edges are disconnected on the far side and
+// reattached to a random non-neighbour drawn from the node's 2-hop
+// neighbourhood. Degree at the selected node is preserved, and the
+// perturbation stays local: a small, locality-preserving topology change
+// suited to probing local Lipschitz behaviour (large random rewires saturate
+// every node's response), matching Case Study B's targeted topology
+// perturbations.
 func RewireNodesLocal(g *graph.Graph, nodes []int, perNode int, rng *rand.Rand) *graph.Graph {
 	n := g.N()
 	type edge struct{ u, v int }

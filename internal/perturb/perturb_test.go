@@ -83,7 +83,7 @@ func ringGraph(n int) *graph.Graph {
 func TestRewireNodesPreservesEdgeCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := ringGraph(50)
-	h := RewireNodes(g, []int{0, 10, 20}, 2, rng)
+	h := RewireNodesLocal(g, []int{0, 10, 20}, 2, rng)
 	if h.M() != g.M() {
 		t.Fatalf("edge count changed: %d vs %d", h.M(), g.M())
 	}
@@ -100,7 +100,7 @@ func TestRewireNodesChangesNeighborhoods(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := ringGraph(60)
 	targets := []int{0, 15, 30, 45}
-	h := RewireNodes(g, targets, 2, rng)
+	h := RewireNodesLocal(g, targets, 2, rng)
 	changed := 0
 	for _, s := range targets {
 		before := g.SortedNeighbors(s)
@@ -123,7 +123,7 @@ func TestRewireNodesChangesNeighborhoods(t *testing.T) {
 func TestRewireNodesUntargetedNodesKeepLocalEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := ringGraph(100)
-	h := RewireNodes(g, []int{0}, 1, rng)
+	h := RewireNodesLocal(g, []int{0}, 1, rng)
 	// Edges far from node 0 must be intact.
 	for i := 10; i < 90; i++ {
 		if !h.HasEdge(i, i+1) {
@@ -132,32 +132,10 @@ func TestRewireNodesUntargetedNodesKeepLocalEdges(t *testing.T) {
 	}
 }
 
-func TestRandomRewireFraction(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := ringGraph(80)
-	h := RandomRewire(g, 0.25, rng)
-	if h.M() != g.M() {
-		t.Fatal("edge count changed")
-	}
-	// Count differing edges.
-	diff := 0
-	for _, e := range g.Edges() {
-		if !h.HasEdge(e.U, e.V) {
-			diff++
-		}
-	}
-	if diff == 0 {
-		t.Fatal("no edges rewired")
-	}
-	if diff > g.M()/2 {
-		t.Fatalf("too many edges rewired: %d of %d", diff, g.M())
-	}
-}
-
 func TestRewireDeterministicWithSeed(t *testing.T) {
 	g := ringGraph(40)
-	h1 := RewireNodes(g, []int{3, 7}, 2, rand.New(rand.NewSource(9)))
-	h2 := RewireNodes(g, []int{3, 7}, 2, rand.New(rand.NewSource(9)))
+	h1 := RewireNodesLocal(g, []int{3, 7}, 2, rand.New(rand.NewSource(9)))
+	h2 := RewireNodesLocal(g, []int{3, 7}, 2, rand.New(rand.NewSource(9)))
 	e1, e2 := h1.Edges(), h2.Edges()
 	if len(e1) != len(e2) {
 		t.Fatal("nondeterministic size")
@@ -166,29 +144,5 @@ func TestRewireDeterministicWithSeed(t *testing.T) {
 		if e1[i] != e2[i] {
 			t.Fatal("nondeterministic rewiring")
 		}
-	}
-}
-
-func TestTouchedPins(t *testing.T) {
-	nl := circuit.Generate(circuit.StandardBenchmarks()[0], rand.New(rand.NewSource(4)))
-	same := nl.Clone()
-	if got := TouchedPins(nl, same); len(got) != 0 {
-		t.Fatalf("identical netlists report touched pins %v", got)
-	}
-	// Scale two input pins; TouchedPins must report exactly those, ascending.
-	var ins []int
-	for p := range nl.Pins {
-		if nl.Pins[p].Dir == circuit.DirIn {
-			ins = append(ins, p)
-		}
-	}
-	if len(ins) < 2 {
-		t.Skip("netlist too small")
-	}
-	picked := []int{ins[len(ins)-1], ins[0]} // unsorted on purpose
-	variant := ScaleCaps(nl, picked, 3)
-	got := TouchedPins(nl, variant)
-	if len(got) != 2 || got[0] != ins[0] || got[1] != ins[len(ins)-1] {
-		t.Fatalf("TouchedPins = %v, want [%d %d]", got, ins[0], ins[len(ins)-1])
 	}
 }

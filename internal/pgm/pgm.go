@@ -8,7 +8,6 @@ package pgm
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"cirstag/internal/graph"
@@ -23,11 +22,9 @@ type Options struct {
 	// K is the kNN neighbourhood size of the initial dense graph. Default 10.
 	K int
 	// AvgDegree is the target average degree after sparsification; the edge
-	// budget becomes AvgDegree·n/2. Default 6. Set to 0 along with
-	// SkipSparsify to keep the dense kNN graph.
+	// budget becomes AvgDegree·n/2. Default 6. A budget at or above the kNN
+	// edge count keeps the dense kNN graph.
 	AvgDegree int
-	// SkipSparsify keeps the full kNN graph (used by ablations).
-	SkipSparsify bool
 	// Span, when non-nil, is the parent trace span under which the kNN and
 	// sparsification sub-phases record their wall time (obs.Span is nil-safe,
 	// so callers can forward a span unconditionally).
@@ -67,42 +64,15 @@ func Build(x *mat.Dense, rng *rand.Rand, opts Options) *graph.Graph {
 		g.AddEdge(e.U, e.V, e.W)
 	}
 	ks.End()
-	if opts.SkipSparsify {
-		return g
-	}
 	target := opts.AvgDegree * kg.N / 2
 	if target >= g.M() {
 		return g
 	}
 	ss := opts.Span.Child("sparsify")
-	res := sparsify.Sparsify(g, nil, rng, sparsify.Options{
-		TargetEdges:       target,
-		UseTreeResistance: true,
-		SketchAboveNodes:  sketchAboveNodes,
-		SketchEps:         sketchEps,
-	})
-	ss.End()
-	return res.Graph
-}
-
-// FromGraph converts an arbitrary pre-existing graph into a manifold without
-// rebuilding the kNN structure (used by the no-dimension-reduction ablation,
-// where the raw circuit graph itself serves as the input manifold).
-func FromGraph(g *graph.Graph, rng *rand.Rand, opts Options) *graph.Graph {
-	opts = opts.withDefaults()
-	if opts.SkipSparsify {
-		return g.Clone()
-	}
-	target := opts.AvgDegree * g.N() / 2
-	if target >= g.M() {
-		return g.Clone()
-	}
-	ss := opts.Span.Child("sparsify")
-	res := sparsify.Sparsify(g, nil, rng, sparsify.Options{
-		TargetEdges:       target,
-		UseTreeResistance: true,
-		SketchAboveNodes:  sketchAboveNodes,
-		SketchEps:         sketchEps,
+	res := sparsify.Sparsify(g, rng, sparsify.Options{
+		TargetEdges:      target,
+		SketchAboveNodes: sketchAboveNodes,
+		SketchEps:        sketchEps,
 	})
 	ss.End()
 	return res.Graph
@@ -202,62 +172,6 @@ func PatchKNN(base *graph.Graph, y *mat.Dense, changed []int, opts Options) *gra
 		}
 	}
 	return out
-}
-
-// Objective evaluates the SGL maximum-likelihood objective (paper eq. 6)
-//
-//	F(Θ) = log det(Θ) − (1/M)·Tr(XᵀΘX),  Θ = L + I/σ²,
-//
-// by dense eigendecomposition of L (log det via Σ log(λᵢ + 1/σ²)) and the
-// edge-sum identity Tr(XᵀLX) = Σ w_pq‖Xᵀe_pq‖². Only feasible for graphs up
-// to a few thousand nodes; intended for tests and ablation reporting.
-func Objective(g *graph.Graph, x *mat.Dense, sigma2 float64) float64 {
-	if !(sigma2 > 0) || math.IsInf(sigma2, 0) {
-		panic(fmt.Sprintf("pgm: sigma2 must be positive and finite, got %v", sigma2))
-	}
-	if x.Rows != g.N() {
-		panic(fmt.Sprintf("pgm: data rows %d, graph nodes %d", x.Rows, g.N()))
-	}
-	l := g.Laplacian()
-	vals, _ := mat.SymEig(l.ToDense())
-	var f1 float64
-	for _, lam := range vals {
-		if lam < 0 {
-			lam = 0
-		}
-		// Θ = L + I/σ² is positive definite, so λ + 1/σ² > 0 in exact
-		// arithmetic — but a rank-deficient L with a large σ² can underflow
-		// the shift to 0 (log → −Inf), and a NaN eigenvalue from a degenerate
-		// decomposition would poison the sum. Floor the argument so the
-		// objective stays finite (a huge negative term still signals the
-		// near-singular Θ) and treat NaN as the floor.
-		arg := lam + 1/sigma2
-		if !(arg > math.SmallestNonzeroFloat64) {
-			arg = math.SmallestNonzeroFloat64
-		}
-		f1 += math.Log(arg)
-	}
-	m := float64(x.Cols)
-	if m == 0 {
-		m = 1
-	}
-	// Tr(XᵀX)/σ² term.
-	var trXX float64
-	for _, v := range x.Data {
-		trXX += v * v
-	}
-	f2 := trXX / sigma2
-	for _, e := range g.Edges() {
-		var d2 float64
-		ru := x.Row(e.U)
-		rv := x.Row(e.V)
-		for c := range ru {
-			d := ru[c] - rv[c]
-			d2 += d * d
-		}
-		f2 += e.W * d2
-	}
-	return f1 - f2/m
 }
 
 // DataDistance2 returns ‖Xᵀe_pq‖² = ‖x_p − x_q‖², the D^data term of eq. 7.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cirstag/internal/graph"
+	"cirstag/internal/knn"
 	"cirstag/internal/mat"
 )
 
@@ -40,14 +41,19 @@ func TestBuildProducesConnectedSparseManifold(t *testing.T) {
 	}
 }
 
+// A budget at or above the kNN edge count skips sparsification and keeps
+// the dense kNN graph.
 func TestBuildSkipSparsifyKeepsDenseGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	pts := mat.NewDense(100, 3)
 	for i := range pts.Data {
 		pts.Data[i] = rng.NormFloat64()
 	}
-	dense := Build(pts, rng, Options{K: 10, SkipSparsify: true})
+	dense := Build(pts, rng, Options{K: 10, AvgDegree: 100})
 	sparse := Build(pts, rng, Options{K: 10, AvgDegree: 4})
+	if want := len(knn.BuildGraph(pts, 10).Edges); dense.M() != want {
+		t.Fatalf("unsparsified build kept %d edges, want the kNN graph's %d", dense.M(), want)
+	}
 	if dense.M() <= sparse.M() {
 		t.Fatalf("dense (%d edges) should exceed sparse (%d)", dense.M(), sparse.M())
 	}
@@ -91,8 +97,8 @@ func TestObjectiveIncreasesWithGoodTopology(t *testing.T) {
 		}
 	}
 	sigma2 := 1.0
-	fGood := Objective(good, pts, sigma2)
-	fBad := Objective(bad, pts, sigma2)
+	fGood := objective(good, pts, sigma2)
+	fBad := objective(bad, pts, sigma2)
 	if fGood <= fBad {
 		t.Fatalf("objective should prefer data-aligned topology: good=%v bad=%v", fGood, fBad)
 	}
@@ -106,7 +112,7 @@ func TestObjectiveSparsifiedClose(t *testing.T) {
 	for i := range pts.Data {
 		pts.Data[i] = rng.NormFloat64()
 	}
-	dense := Build(pts, rng, Options{K: 12, SkipSparsify: true})
+	dense := Build(pts, rng, Options{K: 12, AvgDegree: 100}) // unsparsified
 	smart := Build(pts, rng, Options{K: 12, AvgDegree: 4})
 	// Random pruning to the same edge count (keeping connectivity unchecked;
 	// sample until connected to keep logdet finite on 1⊥... simply retry).
@@ -127,8 +133,8 @@ func TestObjectiveSparsifiedClose(t *testing.T) {
 		t.Skip("could not sample a connected random pruning")
 	}
 	sigma2 := 1.0
-	fSmart := Objective(smart, pts, sigma2)
-	fRandom := Objective(randomPruned, pts, sigma2)
+	fSmart := objective(smart, pts, sigma2)
+	fRandom := objective(randomPruned, pts, sigma2)
 	if fSmart < fRandom {
 		t.Fatalf("η-pruning (%v) should beat random pruning (%v)", fSmart, fRandom)
 	}
@@ -144,43 +150,13 @@ func TestDataDistance2(t *testing.T) {
 	}
 }
 
-func TestFromGraphRespectsBudget(t *testing.T) {
-	rng := rand.New(rand.NewSource(95))
-	g := graph.New(50)
-	for i := 1; i < 50; i++ {
-		g.AddEdge(i, rng.Intn(i), 1)
-	}
-	for k := 0; k < 300; k++ {
-		u, v := rng.Intn(50), rng.Intn(50)
-		if u != v && !g.HasEdge(u, v) {
-			g.AddEdge(u, v, 1)
-		}
-	}
-	h := FromGraph(g, rng, Options{AvgDegree: 4})
-	if h.M() > 100 {
-		t.Fatalf("budget exceeded: %d", h.M())
-	}
-	if !h.IsConnected() {
-		t.Fatal("FromGraph disconnected the graph")
-	}
-	// SkipSparsify clones.
-	c := FromGraph(g, rng, Options{SkipSparsify: true})
-	if c.M() != g.M() {
-		t.Fatal("SkipSparsify should keep all edges")
-	}
-	c.AddEdge(0, 49, 5)
-	if g.EdgeWeight(0, 49) == 5 && !g.HasEdge(0, 49) {
-		t.Fatal("clone shares state")
-	}
-}
-
 func TestObjectivePanicsOnBadSigma(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	Objective(graph.New(2), mat.NewDense(2, 1), 0)
+	objective(graph.New(2), mat.NewDense(2, 1), 0)
 }
 
 // TestPatchKNNChainedDegreeBounded: a node dragged across the embedding by a

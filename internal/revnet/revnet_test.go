@@ -123,9 +123,10 @@ func TestClassifierRespondsToTopologyPerturbation(t *testing.T) {
 	d := GenerateDesign(2, 4, rng)
 	c := TrainClassifier(d, ClassifierConfig{Epochs: 150, Seed: 3})
 	base := c.Predict(nil)
-	// Rewire a third of all edges randomly: embeddings must move and F1 must
-	// not improve.
-	rewired := perturb.RandomRewire(d.Graph, 0.33, rng)
+	// Rewire one edge at each of a random third of the nodes within its
+	// 2-hop neighbourhood: embeddings must move and F1 must not improve.
+	nodes := rng.Perm(d.Graph.N())[:d.Graph.N()/3]
+	rewired := perturb.RewireNodesLocal(d.Graph, nodes, 1, rng)
 	inf := c.Predict(rewired)
 	cos := metrics.MeanRowCosine(base.Embeddings, inf.Embeddings)
 	if cos > 0.999 {

@@ -8,6 +8,7 @@ import (
 	"cirstag/internal/mat"
 	"cirstag/internal/obs"
 	"cirstag/internal/parallel"
+	"cirstag/internal/sparse"
 )
 
 // Blocked multi-RHS PCG. PCGBlockGuess runs the exact per-column recurrence of
@@ -21,29 +22,6 @@ var (
 	blockSolves = obs.NewCounter("solver.block.solves")
 	blockRHS    = obs.NewHistogram("solver.block.rhs", obs.ExpBuckets(1, 2, 12)...)
 )
-
-// BlockOp is an optional Op extension for operators that can apply
-// themselves to several vectors in one fused pass. PCGBlockGuess uses it when
-// available and falls back to per-column ApplyTo otherwise.
-type BlockOp interface {
-	Op
-	// ApplyBlockTo computes y[:,j] = A·x[:,j] for the selected columns.
-	// Each selected column must equal ApplyTo on that column bitwise.
-	ApplyBlockTo(y, x *mat.Dense, cols []int)
-}
-
-func (o csrOp) ApplyBlockTo(y, x *mat.Dense, cols []int) { o.m.MulDenseColsTo(y, x, cols) }
-
-// BlockPreconditioner is an optional Preconditioner extension for
-// preconditioners whose application is safe to fuse or run concurrently
-// across columns. TreePrec and JacobiPrec implement it; unknown
-// preconditioners are applied serially column by column.
-type BlockPreconditioner interface {
-	Preconditioner
-	// PrecondBlockTo computes z[:,j] = M⁻¹·r[:,j] for the selected columns,
-	// bitwise equal to PrecondTo per column.
-	PrecondBlockTo(z, r *mat.Dense, cols []int)
-}
 
 // PrecondBlockTo applies the inverse diagonal to every selected column in a
 // single fused row pass (elementwise, so trivially bit-identical per column).
@@ -59,54 +37,6 @@ func (p *JacobiPrec) PrecondBlockTo(z, r *mat.Dense, cols []int) {
 			}
 		}
 	})
-}
-
-// PrecondBlockTo copies the selected columns (identity preconditioning).
-func (IdentityPrec) PrecondBlockTo(z, r *mat.Dense, cols []int) { copyCols(z, r, cols) }
-
-func precondBlock(m Preconditioner, z, r *mat.Dense, cols []int) {
-	if bm, ok := m.(BlockPreconditioner); ok {
-		bm.PrecondBlockTo(z, r, cols)
-		return
-	}
-	// Unknown preconditioner: not necessarily safe to apply concurrently.
-	n := r.Rows
-	rj := make(mat.Vec, n)
-	zj := make(mat.Vec, n)
-	for _, j := range cols {
-		copyColOut(rj, r, j)
-		m.PrecondTo(zj, rj)
-		copyColIn(z, j, zj)
-	}
-}
-
-func applyBlock(a Op, y, x *mat.Dense, cols []int) {
-	if ba, ok := a.(BlockOp); ok {
-		ba.ApplyBlockTo(y, x, cols)
-		return
-	}
-	n := a.Dim()
-	xj := make(mat.Vec, n)
-	yj := make(mat.Vec, n)
-	for _, j := range cols {
-		copyColOut(xj, x, j)
-		a.ApplyTo(yj, xj)
-		copyColIn(y, j, yj)
-	}
-}
-
-func copyColOut(dst mat.Vec, m *mat.Dense, j int) {
-	w := m.Cols
-	for i := range dst {
-		dst[i] = m.Data[i*w+j]
-	}
-}
-
-func copyColIn(m *mat.Dense, j int, src mat.Vec) {
-	w := m.Cols
-	for i := range src {
-		m.Data[i*w+j] = src[i]
-	}
 }
 
 // colGroup is the width of the column groups that the block reductions,
@@ -211,8 +141,8 @@ const (
 // still measured against ‖b_j‖ — a guess whose residual is already below
 // Tol·‖b_j‖ converges in zero iterations, which is what makes warm-started
 // correction solves (eig.GeneralizedTopKWarm) nearly free near a fixed point.
-func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat.Dense, []Result, []error) {
-	n := a.Dim()
+func PCGBlockGuess(a *sparse.CSR, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat.Dense, []Result, []error) {
+	n := a.Rows
 	if b.Rows != n {
 		panic(fmt.Sprintf("solver: PCGBlockGuess rhs rows %d, operator dim %d", b.Rows, n))
 	}
@@ -236,7 +166,7 @@ func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat
 	} else {
 		copy(x.Data, x0.Data)
 		r = mat.NewDense(n, k)
-		applyBlock(a, r, x, all)
+		a.MulDenseColsTo(r, x, all)
 		for i, bv := range b.Data {
 			r.Data[i] = bv - r.Data[i]
 		}
@@ -269,7 +199,7 @@ func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat
 		act = append(act, j)
 	}
 	if len(act) > 0 {
-		precondBlock(m, z, r, act)
+		m.PrecondBlockTo(z, r, act)
 		copyCols(p, z, act)
 		colDots(rz, r, z, act)
 		colNorms(bestRes, r, act)
@@ -318,7 +248,7 @@ func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat
 		}
 
 		// ap = A·p, fused across the active columns.
-		applyBlock(a, ap, p, act)
+		a.MulDenseColsTo(ap, p, act)
 		colDots(pap, p, ap, act)
 		sel = sel[:0]
 		for _, j := range act {
@@ -354,7 +284,7 @@ func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat
 			}
 		})
 
-		precondBlock(m, z, r, act)
+		m.PrecondBlockTo(z, r, act)
 		colDots(rzNew, r, z, act)
 		for _, j := range act {
 			beta[j] = rzNew[j] / rz[j]
@@ -434,7 +364,7 @@ func (s *Laplacian) SolveBlockGuess(b, x0 *mat.Dense) (*mat.Dense, error) {
 				s.projectCol(guess, j)
 			}
 		}
-		x, results, errs := PCGBlockGuess(AsOp(s.L), s.prec, tile, guess, s.opts)
+		x, results, errs := PCGBlockGuess(s.L, s.prec, tile, guess, s.opts)
 		for j := 0; j < tile.Cols; j++ {
 			lapSolves.Inc()
 			pcgIterations.Observe(float64(results[j].Iterations))

@@ -122,7 +122,7 @@ func TestPCGBlockZeroColumn(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		b.Data[i*3+1] = 0 // middle column: zero rhs
 	}
-	x, results, errs := PCGBlockGuess(AsOp(a), NewJacobi(a), b, nil, Options{Tol: 1e-10})
+	x, results, errs := PCGBlockGuess(a, NewJacobi(a), b, nil, Options{Tol: 1e-10})
 	if errs[0] != nil || errs[1] != nil || errs[2] != nil {
 		t.Fatalf("unexpected errors: %v", errs)
 	}
@@ -150,8 +150,8 @@ func TestPCGBlockMatchesScalarOnSPD(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	a := spdCSR(rng, 64)
 	b := randomRHS(rng, 64, 6)
-	for _, prec := range []Preconditioner{IdentityPrec{}, NewJacobi(a)} {
-		x, results, errs := PCGBlockGuess(AsOp(a), prec, b, nil, Options{Tol: 1e-10})
+	for _, prec := range []Preconditioner{identityPrec{}, NewJacobi(a)} {
+		x, results, errs := PCGBlockGuess(a, prec, b, nil, Options{Tol: 1e-10})
 		for j := 0; j < b.Cols; j++ {
 			xs, rs, err := PCG(AsOp(a), prec, b.Col(j), nil, Options{Tol: 1e-10})
 			if (errs[j] == nil) != (err == nil) {
@@ -234,13 +234,12 @@ func TestSolveBlockGuess(t *testing.T) {
 	// The exact solution as guess: residual starts below tolerance, so every
 	// column must converge in zero iterations. PCGBlockGuess sees the
 	// projected system, as it would inside SolveBlockGuess.
-	op := AsOp(s.L)
 	proj := b.Clone()
 	for j := 0; j < cols; j++ {
 		s.projectCol(proj, j)
 	}
 	tile := plain.Clone()
-	x, results, errs := PCGBlockGuess(op, s.prec, proj, tile, Options{Tol: 1e-6, MaxIter: 50})
+	x, results, errs := PCGBlockGuess(s.L, s.prec, proj, tile, Options{Tol: 1e-6, MaxIter: 50})
 	for j := 0; j < cols; j++ {
 		if errs[j] != nil {
 			t.Fatalf("exact guess column %d: %v", j, errs[j])

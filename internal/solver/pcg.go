@@ -41,13 +41,10 @@ func AsOp(m *sparse.CSR) Op {
 type Preconditioner interface {
 	// PrecondTo computes z = M⁻¹·r. z and r must not alias.
 	PrecondTo(z, r mat.Vec)
+	// PrecondBlockTo computes z[:,j] = M⁻¹·r[:,j] for the selected columns,
+	// bitwise equal to PrecondTo per column.
+	PrecondBlockTo(z, r *mat.Dense, cols []int)
 }
-
-// IdentityPrec is the trivial (no-op) preconditioner.
-type IdentityPrec struct{}
-
-// PrecondTo copies r into z.
-func (IdentityPrec) PrecondTo(z, r mat.Vec) { copy(z, r) }
 
 // JacobiPrec preconditions with the inverse diagonal of A. Zero or negative
 // diagonal entries fall back to 1 (identity on that coordinate).

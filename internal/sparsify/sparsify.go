@@ -29,15 +29,11 @@ type Options struct {
 	// is always kept, so the effective budget is max(TargetEdges, n−1).
 	// Zero selects 2·(n−1) (about average degree 4).
 	TargetEdges int
-	// UseTreeResistance, when true, approximates each off-tree edge's
-	// effective resistance by its tree-path resistance (an upper bound that
-	// avoids Laplacian solves). When false the caller supplies resistances.
-	UseTreeResistance bool
-	// SketchAboveNodes, when positive and no explicit resistances were
-	// supplied, ranks edges by Spielman–Srivastava-sketched effective
-	// resistances (effres.Sketch) once the graph reaches this many nodes,
-	// overriding UseTreeResistance. Tree-path bounds overestimate off-tree
-	// resistances by up to the tree stretch, which grows with n; the sketch
+	// SketchAboveNodes, when positive, ranks edges by Spielman–Srivastava-
+	// sketched effective resistances (effres.Sketch) once the graph reaches
+	// this many nodes, instead of tree-path resistances. Tree-path bounds
+	// overestimate off-tree resistances by up to the tree stretch, which
+	// grows with n; the sketch
 	// stays within (1±ε) of the truth at O((m+n·q)·q) build cost — amortized
 	// near-linear thanks to the blocked multi-RHS solve underneath.
 	SketchAboveNodes int
@@ -60,10 +56,10 @@ type Result struct {
 // keeping them costs F₂ budget. A low-stretch spanning forest is always
 // preserved so the manifold stays connected (per component of g).
 //
-// reff optionally supplies per-edge effective resistances (indexed like
-// g.Edges()); pass nil with opts.UseTreeResistance to use tree-path upper
-// bounds, which is the fast path used by the main pipeline.
-func Sparsify(g *graph.Graph, reff []float64, rng *rand.Rand, opts Options) *Result {
+// R̂eff is each off-tree edge's tree-path resistance, an upper bound on its
+// effective resistance that avoids Laplacian solves, or a sketched effective
+// resistance from opts.SketchAboveNodes nodes up.
+func Sparsify(g *graph.Graph, rng *rand.Rand, opts Options) *Result {
 	n := g.N()
 	edges := g.Edges()
 	m := len(edges)
@@ -75,11 +71,12 @@ func Sparsify(g *graph.Graph, reff []float64, rng *rand.Rand, opts Options) *Res
 	for _, id := range tree {
 		inTree[id] = true
 	}
-	// Large-graph path: replace tree-path resistance bounds with sketched
-	// effective resistances. The sketch consumes rng strictly after
-	// LowStretchTree, so small-graph runs are byte-identical to before and
-	// large-graph runs stay deterministic per seed.
-	if reff == nil && opts.SketchAboveNodes > 0 && n >= opts.SketchAboveNodes {
+	// Resistance estimate for every edge. Large-graph path: replace
+	// tree-path resistance bounds with sketched effective resistances. The
+	// sketch consumes rng strictly after LowStretchTree, so large-graph runs
+	// stay deterministic per seed.
+	eta := make([]float64, m)
+	if opts.SketchAboveNodes > 0 && n >= opts.SketchAboveNodes {
 		// Ranking sketch: only the η *ordering* matters here, not resistance
 		// values, so both sketch width and solver effort are capped well below
 		// what a (1±ε) guarantee would need. On 1/d²-weighted kNN manifolds
@@ -95,32 +92,22 @@ func Sparsify(g *graph.Graph, reff []float64, rng *rand.Rand, opts Options) *Res
 		}
 		sk := effres.NewSketch(g, q, rng,
 			solver.Options{Tol: 1e-4, MaxIter: rankingSketchMaxIter, Precond: solver.PrecondTree})
-		reff = sk.EdgeResistances(g)
-		opts.UseTreeResistance = false
-		sketchResistanceUses.Inc()
-	}
-	// Resistance estimate for every edge.
-	eta := make([]float64, m)
-	var tp *TreePaths
-	if reff == nil || opts.UseTreeResistance {
-		tp = NewTreePaths(g, tree)
-	}
-	for id, e := range edges {
-		var r float64
-		switch {
-		case reff != nil && !opts.UseTreeResistance:
-			r = reff[id]
-		case inTree[id]:
-			r = 1 / e.W // tree edges: path resistance is the edge itself
-		default:
-			// Tree-path resistance is an upper bound on Reff.
-			ptr := tp.PathResistance(e.U, e.V)
-			if ptr < 0 {
-				ptr = 1 / e.W
-			}
-			r = ptr
+		for id, r := range sk.EdgeResistances(g) {
+			eta[id] = edges[id].W * r
 		}
-		eta[id] = e.W * r
+		sketchResistanceUses.Inc()
+	} else {
+		tp := NewTreePaths(g, tree)
+		for id, e := range edges {
+			r := 1 / e.W // tree edges: path resistance is the edge itself
+			if !inTree[id] {
+				// Tree-path resistance is an upper bound on Reff.
+				if ptr := tp.PathResistance(e.U, e.V); ptr >= 0 {
+					r = ptr
+				}
+			}
+			eta[id] = e.W * r
+		}
 	}
 	// Rank off-tree edges by descending η; keep the top ones within budget.
 	offTree := make([]int, 0, m)
@@ -146,35 +133,4 @@ func Sparsify(g *graph.Graph, reff []float64, rng *rand.Rand, opts Options) *Res
 		out.AddEdge(e.U, e.V, e.W)
 	}
 	return &Result{Graph: out, TreeEdges: tree, KeptEdges: kept, Eta: eta}
-}
-
-// QuadFormDistortion estimates the spectral similarity of g and its
-// sparsifier h by comparing Laplacian quadratic forms on random probe
-// vectors: it returns the maximum over probes of
-// |xᵀL_H x − xᵀL_G x| / xᵀL_G x. Small values mean H ≈ G spectrally
-// (Lemma 1 of the paper).
-func QuadFormDistortion(g, h *graph.Graph, probes int, rng *rand.Rand) float64 {
-	lg := g.Laplacian()
-	lh := h.Laplacian()
-	n := g.N()
-	var worst float64
-	for p := 0; p < probes; p++ {
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		qg := lg.QuadForm(x)
-		qh := lh.QuadForm(x)
-		if qg <= 0 {
-			continue
-		}
-		d := (qh - qg) / qg
-		if d < 0 {
-			d = -d
-		}
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst
 }

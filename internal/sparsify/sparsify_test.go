@@ -136,7 +136,7 @@ func TestSparsifyKeepsConnectivityAndBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
 	g := randomConnectedGraph(rng, 60, 400)
 	target := 100
-	res := Sparsify(g, nil, rng, Options{TargetEdges: target, UseTreeResistance: true})
+	res := Sparsify(g, rng, Options{TargetEdges: target})
 	if !res.Graph.IsConnected() {
 		t.Fatal("sparsifier disconnected the graph")
 	}
@@ -151,7 +151,7 @@ func TestSparsifyKeepsConnectivityAndBudget(t *testing.T) {
 func TestSparsifyPrunesLowEtaFirst(t *testing.T) {
 	rng := rand.New(rand.NewSource(85))
 	g := randomConnectedGraph(rng, 40, 200)
-	res := Sparsify(g, nil, rng, Options{TargetEdges: 60, UseTreeResistance: true})
+	res := Sparsify(g, rng, Options{TargetEdges: 60})
 	kept := make(map[int]bool)
 	for _, id := range res.KeptEdges {
 		kept[id] = true
@@ -179,29 +179,31 @@ func TestSparsifyPreservesQuadForms(t *testing.T) {
 	g := randomConnectedGraph(rng, 80, 600)
 	// Keep half the edges: quadratic forms should stay within a moderate
 	// factor (this is a smoke bound, not the tight (1±ε) guarantee).
-	res := Sparsify(g, nil, rng, Options{TargetEdges: g.M() / 2, UseTreeResistance: true})
-	d := QuadFormDistortion(g, res.Graph, 20, rng)
+	res := Sparsify(g, rng, Options{TargetEdges: g.M() / 2})
+	d := quadFormDistortion(g, res.Graph, 20, rng)
 	if d > 1.0 {
 		t.Fatalf("quadratic form distortion %v too large", d)
 	}
 }
 
+// η upper-bounds each edge's true spectral distortion: tree edges carry η
+// = 1 and off-tree edges w·(tree-path resistance), both at least w·Reff.
 func TestSparsifyWithExactResistances(t *testing.T) {
 	rng := rand.New(rand.NewSource(87))
 	g := randomConnectedGraph(rng, 30, 120)
-	reff := effres.ExactAllEdges(g, solver.Options{Tol: 1e-10})
-	res := Sparsify(g, reff, rng, Options{TargetEdges: 45})
+	s := solver.NewLaplacian(g, solver.Options{Tol: 1e-10})
+	res := Sparsify(g, rng, Options{TargetEdges: 45})
 	if !res.Graph.IsConnected() {
-		t.Fatal("disconnected with exact resistances")
-	}
-	// η must equal w·Reff for off-tree edges when exact resistances are given.
-	inTree := make(map[int]bool)
-	for _, id := range res.TreeEdges {
-		inTree[id] = true
+		t.Fatal("disconnected")
 	}
 	for id, e := range g.Edges() {
-		if math.Abs(res.Eta[id]-e.W*reff[id]) > 1e-9 {
-			t.Fatalf("eta[%d] = %v, want %v", id, res.Eta[id], e.W*reff[id])
+		if want := e.W * effres.Exact(s, e.U, e.V); res.Eta[id] < want-1e-9 {
+			t.Fatalf("eta[%d] = %v, below w·Reff = %v", id, res.Eta[id], want)
+		}
+	}
+	for _, id := range res.TreeEdges {
+		if math.Abs(res.Eta[id]-1) > 1e-12 {
+			t.Fatalf("tree edge %d has eta %v, want 1", id, res.Eta[id])
 		}
 	}
 }
@@ -229,14 +231,14 @@ func TestSparsifySketchResistancePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	n := 200
 	g := randomConnectedGraph(rng, n, 500)
-	base := Options{TargetEdges: 2 * n, UseTreeResistance: true}
+	base := Options{TargetEdges: 2 * n}
 
 	// Threshold above n: SketchAboveNodes set but inactive — identical output.
-	plain := Sparsify(g, nil, rand.New(rand.NewSource(5)), base)
+	plain := Sparsify(g, rand.New(rand.NewSource(5)), base)
 	gated := base
 	gated.SketchAboveNodes = n + 1
 	gated.SketchEps = 0.5
-	same := Sparsify(g, nil, rand.New(rand.NewSource(5)), gated)
+	same := Sparsify(g, rand.New(rand.NewSource(5)), gated)
 	if len(plain.KeptEdges) != len(same.KeptEdges) {
 		t.Fatalf("inactive sketch option changed the result: %d vs %d edges", len(plain.KeptEdges), len(same.KeptEdges))
 	}
@@ -251,7 +253,7 @@ func TestSparsifySketchResistancePath(t *testing.T) {
 	active.SketchAboveNodes = n
 	active.SketchEps = 0.5
 	before := sketchResistanceUses.Value()
-	res := Sparsify(g, nil, rand.New(rand.NewSource(5)), active)
+	res := Sparsify(g, rand.New(rand.NewSource(5)), active)
 	if sketchResistanceUses.Value() != before+1 {
 		t.Fatal("sketch-resistance counter did not advance")
 	}
@@ -262,7 +264,7 @@ func TestSparsifySketchResistancePath(t *testing.T) {
 		t.Fatalf("sparsifier disconnected the graph into %d components", nc)
 	}
 	// Deterministic per seed.
-	res2 := Sparsify(g, nil, rand.New(rand.NewSource(5)), active)
+	res2 := Sparsify(g, rand.New(rand.NewSource(5)), active)
 	if len(res.KeptEdges) != len(res2.KeptEdges) {
 		t.Fatal("sketch path not deterministic")
 	}
@@ -271,4 +273,35 @@ func TestSparsifySketchResistancePath(t *testing.T) {
 			t.Fatalf("sketch path not deterministic at kept edge %d", i)
 		}
 	}
+}
+
+// quadFormDistortion estimates the spectral similarity of g and its
+// sparsifier h by comparing Laplacian quadratic forms on random probe
+// vectors: it returns the maximum over probes of
+// |xᵀL_H x − xᵀL_G x| / xᵀL_G x. Small values mean H ≈ G spectrally
+// (Lemma 1 of the paper).
+func quadFormDistortion(g, h *graph.Graph, probes int, rng *rand.Rand) float64 {
+	lg := g.Laplacian()
+	lh := h.Laplacian()
+	n := g.N()
+	var worst float64
+	for p := 0; p < probes; p++ {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		qg := lg.QuadForm(x)
+		qh := lh.QuadForm(x)
+		if qg <= 0 {
+			continue
+		}
+		d := (qh - qg) / qg
+		if d < 0 {
+			d = -d
+		}
+		if d > worst {
+			worst = d
+		}
+	}
+	return worst
 }

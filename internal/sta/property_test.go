@@ -53,22 +53,19 @@ func TestQuickSTAMonotonicity(t *testing.T) {
 	}
 }
 
-// Property: every generated design is acyclic, has positive critical delay,
-// and its slack analysis at the exact period is non-negative everywhere.
+// Property: every generated design is acyclic and has positive critical
+// delay.
 func TestQuickGeneratedDesignsWellFormed(t *testing.T) {
 	f := func(seed int64) bool {
 		nl := smallDesign(seed)
 		if err := nl.Validate(); err != nil {
 			return false
 		}
-		res, err := AnalyzeSlack(nl, 0)
+		res, err := Analyze(nl)
 		if err != nil {
 			return false
 		}
-		if res.MaxDelay <= 0 {
-			return false
-		}
-		return res.NegativeSlackCount(1e-6) == 0
+		return res.MaxDelay > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

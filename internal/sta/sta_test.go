@@ -224,3 +224,89 @@ func TestAnalyzeRejectsCycle(t *testing.T) {
 		t.Fatal("cycle should error")
 	}
 }
+
+// criticalCells walks back from the critical primary output along the
+// arrivals Analyze computed and returns the gate cells on that path, output
+// side first: an input pin's arrival is its net driver's, and a cell
+// output's comes from its latest input pin (all of a cell's input arcs have
+// the same delay).
+func criticalCells(nl *circuit.Netlist, res *Result) []int {
+	var cells []int
+	for p := res.CriticalPO; p >= 0; {
+		pin := nl.Pins[p]
+		if pin.Dir == circuit.DirIn {
+			if pin.Net < 0 {
+				break
+			}
+			p = nl.Nets[pin.Net].Driver
+			continue
+		}
+		c := nl.Cells[pin.Cell]
+		if c.Type == circuit.PortIn {
+			break
+		}
+		cells = append(cells, c.ID)
+		p = -1
+		for _, in := range c.InPins {
+			if p < 0 || res.Arrival[in] > res.Arrival[p] {
+				p = in
+			}
+		}
+	}
+	return cells
+}
+
+func TestUpsizingCriticalCellReducesDelay(t *testing.T) {
+	nl := circuit.Generate(circuit.StandardBenchmarks()[0], rand.New(rand.NewSource(36)))
+	base, err := Analyze(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Upsize the gate cells along the critical path by 2x.
+	path := criticalCells(nl, base)
+	if len(path) == 0 {
+		t.Fatal("critical path holds no gate cell")
+	}
+	sized := nl
+	for _, c := range path {
+		sized = sized.Resize(c, 2)
+	}
+	after, err := Analyze(sized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.MaxDelay >= base.MaxDelay {
+		t.Fatalf("upsizing critical path did not help: %v -> %v", base.MaxDelay, after.MaxDelay)
+	}
+}
+
+func TestUpsizingOffPathCellHurtsOrNeutral(t *testing.T) {
+	// Upsizing a cell off the critical path speeds up only paths that were
+	// not critical and adds load to its drivers: max delay must not improve.
+	nl := circuit.Generate(circuit.StandardBenchmarks()[0], rand.New(rand.NewSource(37)))
+	base, err := Analyze(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onPath := map[int]bool{}
+	for _, c := range criticalCells(nl, base) {
+		onPath[c] = true
+	}
+	checked := 0
+	for _, c := range nl.Cells {
+		if c.Type == circuit.PortIn || c.Type == circuit.PortOut || c.OutPin < 0 || onPath[c.ID] {
+			continue
+		}
+		after, err := Analyze(nl.Resize(c.ID, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.MaxDelay < base.MaxDelay-1e-9 {
+			t.Fatalf("upsizing off-path cell %d improved the critical delay: %v -> %v", c.ID, base.MaxDelay, after.MaxDelay)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no off-path gate cell")
+	}
+}

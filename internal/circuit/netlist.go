@@ -103,9 +103,6 @@ func (nl *Netlist) NumGates() int {
 	return len(nl.Cells) - len(nl.PrimaryInputs) - len(nl.PrimaryOutputs)
 }
 
-// OutputPinOf returns the output pin id of cell c, or -1.
-func (nl *Netlist) OutputPinOf(c int) int { return nl.Cells[c].OutPin }
-
 // Validate checks structural invariants: pin/cell/net cross-references,
 // library pin counts, single-driver nets, finite capacitances, port-cell
 // shapes, and acyclicity of the cell graph. Every index it accepts is safe to

@@ -434,7 +434,7 @@ func stabilityScores(gx *graph.Graph, pairs []eig.GeneralizedPair) ([]EdgeScore,
 	}
 	edges := gx.Edges()
 	edgeScores := make([]EdgeScore, len(edges))
-	parallel.ForEach(len(edges), 0, func(i int) {
+	parallel.ForEach(len(edges), parallel.Grain(len(pairs)), func(i int) {
 		e := edges[i]
 		var sc float64
 		ru := vs.Row(e.U)

@@ -11,11 +11,6 @@ import (
 // of how much of an eigensolve's time goes to keeping the basis orthogonal.
 var reorthPasses = obs.NewCounter("eig.reorth_passes")
 
-// parallelOrthoFlops gates when a reorthogonalization sweep is worth sharding
-// across the worker pool. Below it the identical arithmetic runs inline —
-// a scheduling choice only, so results match the parallel path bit-for-bit.
-const parallelOrthoFlops = 1 << 15
-
 // orthogonalize removes from w its components along the basis, with
 // coefficients measured against dual: w -= Σ_i (w·dual_i)·basis_i. For the
 // Euclidean inner product pass the basis itself as dual; the generalized
@@ -32,18 +27,9 @@ func orthogonalize(w mat.Vec, basis, dual []mat.Vec) {
 		return
 	}
 	reorthPasses.Add(2)
-	work := len(basis) * len(w)
 	for pass := 0; pass < 2; pass++ {
-		var c []float64
-		if work >= parallelOrthoFlops {
-			c = parallel.Map(len(basis), 1, func(i int) float64 { return mat.Dot(w, dual[i]) })
-		} else {
-			c = make([]float64, len(basis))
-			for i := range basis {
-				c[i] = mat.Dot(w, dual[i])
-			}
-		}
-		sub := func(lo, hi int) {
+		c := parallel.Map(len(basis), parallel.Grain(len(w)), func(i int) float64 { return mat.Dot(w, dual[i]) })
+		parallel.For(len(w), parallel.Grain(len(basis)), func(lo, hi int) {
 			for i, bi := range basis {
 				ci := c[i]
 				if ci == 0 {
@@ -53,11 +39,6 @@ func orthogonalize(w mat.Vec, basis, dual []mat.Vec) {
 					w[x] -= ci * bi[x]
 				}
 			}
-		}
-		if work >= parallelOrthoFlops {
-			parallel.For(len(w), 0, sub)
-		} else {
-			sub(0, len(w))
-		}
+		})
 	}
 }

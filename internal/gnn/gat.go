@@ -76,6 +76,12 @@ func (l *GATLayer) Forward(x *mat.Dense) *mat.Dense {
 	l.z = make([]*mat.Dense, l.Heads)
 	l.alpha = make([][]mat.Vec, l.Heads)
 	out := mat.NewDense(n, l.Heads*l.Out)
+	// A node's softmax and aggregation cost about Out multiply-adds per
+	// attention edge (its neighbours plus the self-loop).
+	edges := 0
+	for _, ns := range l.nbr {
+		edges += len(ns)
+	}
 	for h := 0; h < l.Heads; h++ {
 		z := x.Mul(l.W[h].W)
 		l.z[h] = z
@@ -85,7 +91,7 @@ func (l *GATLayer) Forward(x *mat.Dense) *mat.Dense {
 		// Each node's softmax and aggregation touch only alphas[i] and its own
 		// output-row segment, so the per-node loop fans out across the worker
 		// pool (z, s, t are read-only here).
-		parallel.ForEach(n, 0, func(i int) {
+		parallel.ForEach(n, parallel.Grain(l.Out*edges/max(n, 1)), func(i int) {
 			ns := l.nbr[i]
 			e := make(mat.Vec, len(ns))
 			mx := math.Inf(-1)

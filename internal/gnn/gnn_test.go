@@ -8,6 +8,7 @@ import (
 	"cirstag/internal/graph"
 	"cirstag/internal/mat"
 	"cirstag/internal/nn"
+	"cirstag/internal/parallel"
 )
 
 func smallGraph() *graph.Graph {
@@ -429,5 +430,57 @@ func TestSAGEDistinguishesSelfFromNeighbours(t *testing.T) {
 	}
 	if !l.Forward(x).Equalish(x, 1e-12) {
 		t.Fatal("identity configuration is not the identity")
+	}
+}
+
+// TestGATForwardWorkerCountBitIdentical: the GAT forward shards its per-node
+// softmax and aggregation by parallel.Grain, and every node writes only its
+// own output row and attention vector, so outputs and attention are
+// bit-identical at 1, 2 and 4 workers, for a graph inside one chunk and one
+// spanning several.
+func TestGATForwardWorkerCountBitIdentical(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	const in, out, heads = 5, 6, 2
+	for _, n := range []int{5, 3000} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		g := graph.New(n)
+		for i := 0; i < n; i++ {
+			g.AddEdge(i, (i+1)%n, 1)
+			if j := rng.Intn(n); j != i && !g.HasEdge(i, j) {
+				g.AddEdge(i, j, 1)
+			}
+		}
+		grain := parallel.Grain(out * (n + 2*g.M()) / n)
+		if big := n > 5; big != (n > grain) {
+			t.Fatalf("n=%d: chunks of %d nodes put the graph on the wrong side of one chunk", n, grain)
+		}
+		layer := NewGATLayer(g, in, out, heads, rng)
+		x := mat.NewDense(n, in)
+		for i := range x.Data {
+			x.Data[i] = rng.NormFloat64()
+		}
+		parallel.SetWorkers(1)
+		ref := layer.Forward(x)
+		refAlpha := make([]mat.Vec, n)
+		for i := range refAlpha {
+			_, refAlpha[i] = layer.Attention(heads-1, i)
+		}
+		for _, w := range []int{2, 4} {
+			parallel.SetWorkers(w)
+			got := layer.Forward(x)
+			for i := range ref.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(ref.Data[i]) {
+					t.Fatalf("n=%d workers=%d: output element %d differs from one worker", n, w, i)
+				}
+			}
+			for i := range refAlpha {
+				_, a := layer.Attention(heads-1, i)
+				for k := range a {
+					if math.Float64bits(a[k]) != math.Float64bits(refAlpha[i][k]) {
+						t.Fatalf("n=%d workers=%d: attention of node %d differs from one worker", n, w, i)
+					}
+				}
+			}
+		}
 	}
 }

@@ -309,7 +309,8 @@ type WeightedEdge struct {
 // queries fan out across the worker pool (the tree is immutable after
 // construction and every point writes its own neighbor buffer), and the
 // buffers are merged by a sorted scan, so the edge list is identical for any
-// worker count.
+// worker count. A query is costed as the n·d scan it tends to in the
+// pipeline's 16–37 dimensions, where it visits a third to half of the points.
 func BuildGraph(pts *mat.Dense, k int) *Graph {
 	n := pts.Rows
 	if k <= 0 {
@@ -319,7 +320,7 @@ func BuildGraph(pts *mat.Dense, k int) *Graph {
 		k = n - 1
 	}
 	tree := NewKDTree(pts)
-	nbrs := parallel.Map(n, 0, func(i int) []Neighbor {
+	nbrs := parallel.Map(n, parallel.Grain(n*pts.Cols), func(i int) []Neighbor {
 		return tree.Query(pts.Row(i), k, i)
 	})
 	return mergeNeighbors(nbrs, k)

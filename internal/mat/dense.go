@@ -129,19 +129,15 @@ func (m *Dense) MulVecT(v Vec) Vec {
 	return out
 }
 
-// parallelMulFlops is the flop count above which Mul shards its row range
-// across the worker pool; smaller products run inline to avoid scheduling
-// overhead. Output rows are disjoint, so sharding never changes the result.
-const parallelMulFlops = 1 << 17
-
-// Mul returns m*b.
+// Mul returns m*b. Its row range shards across the worker pool; output rows
+// are disjoint, so sharding never changes the result.
 func (m *Dense) Mul(b *Dense) *Dense {
 	if m.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: Mul dims %dx%d * %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
 	}
 	out := NewDense(m.Rows, b.Cols)
 	// ikj loop order: stream over b's rows for cache friendliness.
-	mulRange := func(lo, hi int) {
+	parallel.For(m.Rows, parallel.Grain(m.Cols*b.Cols), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow := m.Data[i*m.Cols : (i+1)*m.Cols]
 			orow := out.Data[i*b.Cols : (i+1)*b.Cols]
@@ -155,12 +151,7 @@ func (m *Dense) Mul(b *Dense) *Dense {
 				}
 			}
 		}
-	}
-	if m.Rows*m.Cols*b.Cols >= parallelMulFlops {
-		parallel.For(m.Rows, 0, mulRange)
-	} else {
-		mulRange(0, m.Rows)
-	}
+	})
 	return out
 }
 
@@ -212,9 +203,6 @@ func (m *Dense) ScaleMat(alpha float64) {
 		m.Data[i] *= alpha
 	}
 }
-
-// FrobNorm returns the Frobenius norm of m.
-func (m *Dense) FrobNorm() float64 { return Norm2(Vec(m.Data)) }
 
 // Eye returns the n x n identity matrix.
 func Eye(n int) *Dense {

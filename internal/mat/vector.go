@@ -28,9 +28,6 @@ func (v Vec) Fill(x float64) {
 	}
 }
 
-// Zero sets every element of v to zero.
-func (v Vec) Zero() { v.Fill(0) }
-
 // FirstNonFinite returns the index of the first NaN or ±Inf entry of v, or
 // -1 when every entry is finite. Used by the pipeline's input validation and
 // degenerate-geometry checks.

@@ -156,23 +156,18 @@ func (r *LeakyReLU) Params() []*Param { return nil }
 // Tanh activation.
 type Tanh struct{ yCache *mat.Dense }
 
-// parallelTanhLen gates when the elementwise tanh is worth sharding across
-// the worker pool; below it the identical loop runs inline.
-const parallelTanhLen = 1 << 14
+// tanhCost is one math.Tanh in multiply-adds, as measured against the dense
+// product's inner loop (about 13 ns against 1.3 ns on a 2-vCPU host).
+const tanhCost = 10
 
-// Forward applies tanh elementwise.
+// Forward applies tanh elementwise, sharded across the worker pool.
 func (t *Tanh) Forward(x *mat.Dense) *mat.Dense {
 	y := x.Clone()
-	apply := func(lo, hi int) {
+	parallel.For(len(y.Data), parallel.Grain(tanhCost), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			y.Data[i] = math.Tanh(y.Data[i])
 		}
-	}
-	if len(y.Data) >= parallelTanhLen {
-		parallel.For(len(y.Data), 0, apply)
-	} else {
-		apply(0, len(y.Data))
-	}
+	})
 	t.yCache = y
 	return y
 }

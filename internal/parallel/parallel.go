@@ -13,6 +13,10 @@
 //   - For splits [0, n) into chunks whose boundaries are a pure function of
 //     (n, grain) — never of the worker count — so per-chunk floating-point
 //     reduction order is fixed.
+//   - Grain is the one rule that sizes a chunk: a caller states what one
+//     index costs, and every chunk but the last carries about the work of a
+//     goroutine hand-off. A section no larger than one chunk runs on the
+//     calling goroutine, so no caller keeps a serial branch of its own.
 //   - Workers claim chunks off an atomic counter; since chunks touch disjoint
 //     output slots, claim order is irrelevant to the result.
 //   - SplitSeed/NewRNG derive statistically independent child streams from a
@@ -45,13 +49,17 @@ import (
 // Pool metrics (recorded only while obs is enabled; the disabled path costs
 // one atomic load per For/Do call and never touches the clock):
 //
-//   - parallel.for_calls / parallel.chunks — how many parallel sections ran
-//     and how finely they were decomposed.
-//   - parallel.workers — the pool size of the most recent parallel section.
-//   - parallel.utilization_pct — per-For ratio of summed worker busy time to
-//     workers × wall time; low values mean the pool is not saturating cores.
-//   - parallel.spawn_wait_us — per-worker delay between pool launch and its
-//     first chunk claim (goroutine scheduling latency).
+//   - parallel.for_calls / parallel.chunks — how many For sections ran,
+//     inline ones included, and how finely they were decomposed.
+//   - parallel.workers — the pool size of the most recent section that
+//     left the calling goroutine.
+//   - parallel.utilization_pct — per pooled For, the ratio of summed worker
+//     busy time to workers × wall time; low values mean the pool is not
+//     saturating cores. Inline sections are not observed: they would read
+//     100% by construction.
+//   - parallel.spawn_wait_us — per helper goroutine that claims a chunk, the
+//     delay between pool launch and that claim (goroutine scheduling
+//     latency). A helper that finds every chunk taken is not observed.
 //   - parallel.do_calls — stage-overlap sections (Do).
 var (
 	forCalls     = obs.NewCounter("parallel.for_calls")
@@ -98,35 +106,38 @@ func SetWorkers(n int) {
 	override.Store(int32(n))
 }
 
-// autoChunks is the fixed chunk count used when the caller passes grain <= 0.
-// Keeping it a constant (rather than deriving it from the worker count) makes
-// chunk boundaries a pure function of n, which is what lets callers do
-// per-chunk reductions without losing cross-worker-count determinism. 128
-// chunks load-balance well up to large core counts while keeping per-chunk
-// scheduling overhead negligible.
-const autoChunks = 128
+// chunkWork is the least work a chunk carries, in multiply-add-sized
+// operations, chosen so that a chunk costs about what handing it to another
+// goroutine costs. On a 2-vCPU host, SpMV, the dense product, the
+// reorthogonalization update and tanh (10 operations each) split into two
+// equal chunks broke even with their serial loops at 8k–23k operations,
+// where each chunk did about 10 µs of work.
+const chunkWork = 1 << 13
 
-func grainFor(n, grain int) int {
-	if grain > 0 {
-		return grain
+// Grain returns the grain for a section whose every index costs cost
+// multiply-add-sized operations: ⌈chunkWork/cost⌉, at least 1. A section no
+// larger than one chunk is one chunk, which For runs on the calling
+// goroutine.
+func Grain(cost int) int {
+	if cost < 1 {
+		cost = 1
 	}
-	g := (n + autoChunks - 1) / autoChunks
-	if g < 1 {
-		g = 1
-	}
-	return g
+	return (chunkWork + cost - 1) / cost
 }
 
-// For runs fn over [0, n) split into chunks of the given grain (grain <= 0
-// selects an automatic grain of ~n/128). fn(lo, hi) processes indices
-// [lo, hi) and must only write state private to that range. Chunks run on up
-// to Workers() goroutines; with one worker everything runs inline on the
-// calling goroutine. A panic inside fn is re-raised on the caller.
+// For runs fn over [0, n) split into chunks of grain indices (grain >= 1;
+// callers size it with Grain, or pass 1 for coarse tasks). fn(lo, hi)
+// processes indices [lo, hi) and must only write state private to that
+// range. Chunks run on up to Workers() goroutines, the caller's included;
+// with one worker or one chunk everything runs inline on the calling
+// goroutine. A panic inside fn is re-raised on the caller.
 func For(n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	grain = grainFor(n, grain)
+	if grain < 1 {
+		panic("parallel: For grain must be at least 1")
+	}
 	chunks := (n + grain - 1) / grain
 	w := Workers()
 	if w > chunks {
@@ -142,7 +153,6 @@ func For(n, grain int, fn func(lo, hi int)) {
 	if rec {
 		forCalls.Inc()
 		forChunks.Add(int64(chunks))
-		workersGauge.Set(float64(w))
 	}
 	if w <= 1 {
 		for c := 0; c < chunks; c++ {
@@ -160,11 +170,6 @@ func For(n, grain int, fn func(lo, hi int)) {
 				obs.TraceChunk(0, cs, time.Since(cs))
 			}
 		}
-		if rec {
-			// A single worker runs chunks back-to-back on the calling
-			// goroutine: the pool is fully busy by construction.
-			utilization.Observe(100)
-		}
 		return
 	}
 	var t0 time.Time
@@ -172,37 +177,38 @@ func For(n, grain int, fn func(lo, hi int)) {
 	if timed {
 		t0 = time.Now()
 	}
-	var next atomic.Int64
+	if rec {
+		workersGauge.Set(float64(w))
+	}
+	// The caller works as lane 0 beside w-1 helper goroutines and returns
+	// once every chunk is done, not once every helper has run: a helper that
+	// is slow to be scheduled finds no chunk left and exits, and delays
+	// nothing.
+	var next, done atomic.Int64
 	var panicOnce sync.Once
 	var panicked any
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicked = r })
-				}
-			}()
-			first := true
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= chunks {
-					return
-				}
+	finished := make(chan struct{})
+	work := func(lane int) {
+		first := rec && lane > 0
+		for c := int(next.Add(1)) - 1; c < chunks; c = int(next.Add(1)) - 1 {
+			if first {
+				spawnWaitUS.Observe(float64(time.Since(t0)) / float64(time.Microsecond))
+				first = false
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						panicOnce.Do(func() { panicked = r })
+					}
+					if done.Add(1) == int64(chunks) {
+						close(finished)
+					}
+				}()
 				lo := c * grain
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
+				hi := min(lo+grain, n)
 				var cs time.Time
 				if timed {
 					cs = time.Now()
-					if rec && first {
-						spawnWaitUS.Observe(float64(cs.Sub(t0)) / float64(time.Microsecond))
-						first = false
-					}
 				}
 				fn(lo, hi)
 				if timed {
@@ -211,13 +217,17 @@ func For(n, grain int, fn func(lo, hi int)) {
 						busyNS.Add(int64(busy))
 					}
 					if tr {
-						obs.TraceChunk(worker, cs, busy)
+						obs.TraceChunk(lane, cs, busy)
 					}
 				}
-			}
-		}(i)
+			}()
+		}
 	}
-	wg.Wait()
+	for lane := 1; lane < w; lane++ {
+		go work(lane)
+	}
+	work(0)
+	<-finished
 	if rec {
 		if wall := time.Since(t0); wall > 0 {
 			utilization.Observe(100 * float64(busyNS.Load()) / (float64(wall) * float64(w)))

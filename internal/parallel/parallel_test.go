@@ -12,15 +12,17 @@ func TestForCoversAllIndicesOnce(t *testing.T) {
 	for _, w := range []int{1, 2, 7} {
 		SetWorkers(w)
 		for _, n := range []int{0, 1, 2, 127, 128, 129, 1000} {
-			hits := make([]int32, n)
-			For(n, 0, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&hits[i], 1)
-				}
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times", w, n, i, h)
+			for _, grain := range []int{1, 8, Grain(100)} {
+				hits := make([]int32, n)
+				For(n, grain, func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						atomic.AddInt32(&hits[i], 1)
+					}
+				})
+				for i, h := range hits {
+					if h != 1 {
+						t.Fatalf("workers=%d n=%d grain=%d: index %d visited %d times", w, n, grain, i, h)
+					}
 				}
 			}
 		}
@@ -45,7 +47,7 @@ func TestForChunkBoundariesIndependentOfWorkers(t *testing.T) {
 		return out
 	}
 	for _, n := range []int{5, 100, 1000} {
-		for _, grain := range []int{0, 1, 7} {
+		for _, grain := range []int{1, 7, Grain(1000)} {
 			a := collect(1, n, grain)
 			b := collect(5, n, grain)
 			if len(a) != len(b) {
@@ -58,6 +60,36 @@ func TestForChunkBoundariesIndependentOfWorkers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGrainOneChunkSection: a section whose total work n·cost is at most one
+// chunk's is a single chunk over (0, n) at any worker count, which For runs
+// on the calling goroutine.
+func TestGrainOneChunkSection(t *testing.T) {
+	defer SetWorkers(0)
+	if Grain(1) != chunkWork || Grain(chunkWork) != 1 || Grain(2*chunkWork) != 1 || Grain(0) != chunkWork {
+		t.Fatalf("Grain(1, W, 2W, 0) = %d, %d, %d, %d", Grain(1), Grain(chunkWork), Grain(2*chunkWork), Grain(0))
+	}
+	for _, w := range []int{1, 4} {
+		SetWorkers(w)
+		for _, c := range []int{1, 3, 10, 1000, chunkWork} {
+			n := chunkWork / c
+			var calls [][2]int
+			For(n, Grain(c), func(lo, hi int) { calls = append(calls, [2]int{lo, hi}) })
+			if len(calls) != 1 || calls[0] != [2]int{0, n} {
+				t.Fatalf("workers=%d cost=%d n=%d: chunks %v, want one (0, %d)", w, c, n, calls, n)
+			}
+		}
+	}
+}
+
+func TestForRejectsZeroGrain(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("For with grain 0 did not panic")
+		}
+	}()
+	For(10, 0, func(lo, hi int) {})
 }
 
 func TestMapOrder(t *testing.T) {

@@ -27,7 +27,7 @@ var (
 // single fused row pass (elementwise, so trivially bit-identical per column).
 func (p *JacobiPrec) PrecondBlockTo(z, r *mat.Dense, cols []int) {
 	w := r.Cols
-	parallel.For(r.Rows, 0, func(lo, hi int) {
+	parallel.For(r.Rows, parallel.Grain(len(cols)), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			d := p.invDiag[i]
 			zrow := z.Data[i*w : (i+1)*w]
@@ -112,7 +112,7 @@ func copyCols(dst, src *mat.Dense, cols []int) {
 		return
 	}
 	w := src.Cols
-	parallel.For(src.Rows, 0, func(lo, hi int) {
+	parallel.For(src.Rows, parallel.Grain(len(cols)), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			drow := dst.Data[i*w : (i+1)*w]
 			srow := src.Data[i*w : (i+1)*w]
@@ -271,7 +271,7 @@ func PCGBlockGuess(a *sparse.CSR, m Preconditioner, b, x0 *mat.Dense, opts Optio
 		}
 
 		// x += α·p, r −= α·ap: one fused row pass (per-row private writes).
-		parallel.For(n, 0, func(lo, hi int) {
+		parallel.For(n, parallel.Grain(2*len(act)), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				xrow := x.Data[i*k : (i+1)*k]
 				rrow := r.Data[i*k : (i+1)*k]
@@ -291,7 +291,7 @@ func PCGBlockGuess(a *sparse.CSR, m Preconditioner, b, x0 *mat.Dense, opts Optio
 			rz[j] = rzNew[j]
 		}
 		// p = z + β·p, fused.
-		parallel.For(n, 0, func(lo, hi int) {
+		parallel.For(n, parallel.Grain(len(act)), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				prow := p.Data[i*k : (i+1)*k]
 				zrow := z.Data[i*k : (i+1)*k]

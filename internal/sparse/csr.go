@@ -101,26 +101,16 @@ func (m *CSR) MulVec(x mat.Vec) mat.Vec {
 	return y
 }
 
-// parallelNNZ is the stored-entry count above which SpMV/SpMM shard across
-// the worker pool. Below it, goroutine hand-off costs more than the multiply
-// itself (every Lanczos/PCG iteration pays this call, so the serial fast path
-// matters). Each output row depends only on its own index range, so sharding
-// never changes the floating-point result.
-const parallelNNZ = 1 << 14
-
 // MulVecTo computes y = m·x into a caller-provided y (len Rows), avoiding
-// allocation in iterative solvers. Large matrices shard the row range across
-// the worker pool; each row's accumulation order is fixed, so the result is
-// bit-identical for any worker count.
+// allocation in iterative solvers. The row range shards across the worker
+// pool, a row costing its mean stored-entry count (here and in the
+// products below, times the columns it updates); each row's accumulation
+// order is fixed, so the result is bit-identical for any worker count.
 func (m *CSR) MulVecTo(y, x mat.Vec) {
 	if len(y) != m.Rows || len(x) != m.Cols {
 		panic(fmt.Sprintf("sparse: MulVecTo dims y=%d x=%d for %dx%d", len(y), len(x), m.Rows, m.Cols))
 	}
-	if len(m.Val) >= parallelNNZ {
-		parallel.For(m.Rows, 0, func(lo, hi int) { m.mulVecRange(y, x, lo, hi) })
-		return
-	}
-	m.mulVecRange(y, x, 0, m.Rows)
+	parallel.For(m.Rows, parallel.Grain(len(m.Val)/max(m.Rows, 1)), func(lo, hi int) { m.mulVecRange(y, x, lo, hi) })
 }
 
 func (m *CSR) mulVecRange(y, x mat.Vec, lo, hi int) {
@@ -134,14 +124,14 @@ func (m *CSR) mulVecRange(y, x mat.Vec, lo, hi int) {
 }
 
 // MulDense computes m·b for a narrow dense b. Rows shard across the worker
-// pool for large operands (per-row output, deterministic for any worker
-// count); this is the aggregation kernel of the GCN/SAGE forward passes.
+// pool (per-row output, deterministic for any worker count); this is the
+// aggregation kernel of the GCN/SAGE forward passes.
 func (m *CSR) MulDense(b *mat.Dense) *mat.Dense {
 	if b.Rows != m.Cols {
 		panic(fmt.Sprintf("sparse: MulDense dims %dx%d * %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
 	}
 	out := mat.NewDense(m.Rows, b.Cols)
-	mulRange := func(lo, hi int) {
+	parallel.For(m.Rows, parallel.Grain(b.Cols*len(m.Val)/max(m.Rows, 1)), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			orow := out.Data[i*b.Cols : (i+1)*b.Cols]
 			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
@@ -152,12 +142,7 @@ func (m *CSR) MulDense(b *mat.Dense) *mat.Dense {
 				}
 			}
 		}
-	}
-	if len(m.Val)*b.Cols >= parallelNNZ {
-		parallel.For(m.Rows, 0, mulRange)
-	} else {
-		mulRange(0, m.Rows)
-	}
+	})
 	return out
 }
 
@@ -176,7 +161,7 @@ func (m *CSR) MulDenseColsTo(y, x *mat.Dense, cols []int) {
 	}
 	w := x.Cols
 	full := len(cols) == w // dense fast path: every column selected
-	mulRange := func(lo, hi int) {
+	parallel.For(m.Rows, parallel.Grain(len(cols)*len(m.Val)/max(m.Rows, 1)), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			yrow := y.Data[i*w : (i+1)*w]
 			if full {
@@ -202,12 +187,7 @@ func (m *CSR) MulDenseColsTo(y, x *mat.Dense, cols []int) {
 				}
 			}
 		}
-	}
-	if len(m.Val)*len(cols) >= parallelNNZ {
-		parallel.For(m.Rows, 0, mulRange)
-	} else {
-		mulRange(0, m.Rows)
-	}
+	})
 }
 
 // T returns the transpose as a new CSR.

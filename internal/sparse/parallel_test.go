@@ -10,18 +10,17 @@ import (
 	"cirstag/internal/parallel"
 )
 
-// TestMulVecShardedBitwiseEqualsSerial exercises a matrix big enough to cross
-// the parallelNNZ gate and requires the row-sharded SpMV to match the serial
-// product bit-for-bit at several worker counts (row shards never split a
-// row's accumulation, so there is no legal difference).
+// TestMulVecShardedBitwiseEqualsSerial exercises a matrix big enough to span
+// several row chunks of its Grain and requires the row-sharded SpMV to match
+// the serial product bit-for-bit at several worker counts (row shards never
+// split a row's accumulation, so there is no legal difference).
 func TestMulVecShardedBitwiseEqualsSerial(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	rng := rand.New(rand.NewSource(3))
 	rows, cols := 800, 600
-	nnz := 1 << 15 // above parallelNNZ
-	m := randCSR(rng, rows, cols, nnz)
-	if len(m.Val) < parallelNNZ {
-		t.Fatalf("test matrix too sparse to cross the gate: nnz=%d", len(m.Val))
+	m := randCSR(rng, rows, cols, 1<<15)
+	if g := parallel.Grain(len(m.Val) / rows); 2*g > rows {
+		t.Fatalf("test matrix spans fewer than two chunks of %d rows: nnz=%d", g, len(m.Val))
 	}
 	x := make(mat.Vec, cols)
 	for i := range x {
@@ -50,6 +49,9 @@ func TestMulDenseShardedBitwiseEqualsSerial(t *testing.T) {
 	b := mat.NewDense(300, 8)
 	for i := range b.Data {
 		b.Data[i] = rng.NormFloat64()
+	}
+	if g := parallel.Grain(b.Cols * len(m.Val) / m.Rows); 2*g > m.Rows {
+		t.Fatalf("test product spans fewer than two chunks of %d rows", g)
 	}
 
 	parallel.SetWorkers(1)
